@@ -61,8 +61,17 @@ uint64_t DeriveSeed(uint64_t seed, uint64_t index) {
 CatalogGraph MakeCatalogGraph(const std::string& name,
                               const std::string& profile, double scale,
                               uint64_t seed) {
-  return CatalogGraph{name, profile, scale,
-                      atr::MakeSocialProfile(profile, scale, seed)};
+  CatalogGraph g{name, profile, scale, seed, 0,
+                 atr::MakeSocialProfile(profile, scale, seed)};
+  g.fingerprint = GraphFingerprint(g.graph);
+  return g;
+}
+
+void CatalogGraph::Release() { graph = Graph(); }
+
+bool CatalogGraph::Regenerate() {
+  graph = atr::MakeSocialProfile(profile, scale, seed);
+  return GraphFingerprint(graph) == fingerprint;
 }
 
 Graph Reingest(const Graph& graph) {
@@ -71,9 +80,30 @@ Graph Reingest(const Graph& graph) {
   return csr.Build();
 }
 
-EdgeSet::EdgeSet(const Graph& graph) : num_vertices_(graph.NumVertices()) {
-  edges_.reserve(graph.NumEdges());
-  index_.reserve(graph.NumEdges() * 2);
+namespace {
+
+// Murmur3's 64-bit finalizer.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+// The smallest power of two that holds `keys` at most half full.
+size_t TableSize(size_t keys) {
+  size_t slots = 16;
+  while (slots < 2 * keys) slots <<= 1;
+  return slots;
+}
+
+}  // namespace
+
+EdgeSet::EdgeSet(const Graph& graph)
+    : num_vertices_(graph.NumVertices()),
+      slots_(TableSize(graph.NumEdges()), 0) {
   for (const EdgeEndpoints& e : graph.edges()) Insert(Key(e.u, e.v));
 }
 
@@ -82,31 +112,59 @@ uint64_t EdgeSet::Key(uint32_t u, uint32_t v) {
   return (static_cast<uint64_t>(u) << 32) | v;
 }
 
+size_t EdgeSet::Home(uint64_t key) const {
+  return Mix(key) & (slots_.size() - 1);
+}
+
+size_t EdgeSet::Find(uint64_t key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t slot = Home(key);
+  while (slots_[slot] != 0 && slots_[slot] != key) slot = (slot + 1) & mask;
+  return slot;
+}
+
 void EdgeSet::Insert(uint64_t key) {
-  index_.emplace(key, edges_.size());
-  edges_.push_back(key);
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<uint64_t> old(2 * slots_.size(), 0);
+    old.swap(slots_);
+    for (const uint64_t k : old) {
+      if (k != 0) slots_[Find(k)] = k;
+    }
+  }
+  const size_t slot = Find(key);
+  ATR_CHECK(slots_[slot] == 0);
+  slots_[slot] = key;
+  ++size_;
 }
 
 void EdgeSet::Erase(uint64_t key) {
-  const auto it = index_.find(key);
-  ATR_CHECK(it != index_.end());
-  const size_t slot = it->second;
-  index_.erase(it);
-  if (slot + 1 != edges_.size()) {
-    edges_[slot] = edges_.back();
-    index_[edges_[slot]] = slot;
+  const size_t mask = slots_.size() - 1;
+  size_t hole = Find(key);
+  ATR_CHECK(slots_[hole] == key);
+  // Backward-shift deletion: a later key of the same probe run moves into
+  // the hole unless its home slot lies cyclically in (hole, j].
+  for (size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
+    const size_t home = Home(slots_[j]);
+    const bool stays =
+        hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
+    if (!stays) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
   }
-  edges_.pop_back();
+  slots_[hole] = 0;
+  --size_;
 }
 
 GraphDelta EdgeSet::NextDelta(atr::Rng& rng, uint32_t removes,
                               uint32_t adds) {
-  ATR_CHECK(num_vertices_ >= 2 && edges_.size() > removes);
+  ATR_CHECK(num_vertices_ >= 2 && size_ > removes);
   GraphDelta delta;
-  // Removes first, drawn from the present set; erasing as we go keeps
-  // them distinct.
+  // Removes first, drawn uniformly from the present set by probing random
+  // slots until one is occupied; erasing as we go keeps them distinct.
   for (uint32_t i = 0; i < removes; ++i) {
-    const uint64_t key = edges_[rng.NextBounded(edges_.size())];
+    uint64_t key = 0;
+    while (key == 0) key = slots_[rng.NextBounded(slots_.size())];
     delta.remove.push_back(
         EdgeEndpoints{static_cast<uint32_t>(key >> 32),
                       static_cast<uint32_t>(key & 0xffffffffu)});
@@ -139,9 +197,10 @@ void EdgeSet::Apply(const GraphDelta& delta) {
 
 Graph EdgeSet::ToGraph() const {
   atr::GraphBuilder csr(num_vertices_);
-  for (const uint64_t key : edges_) {
-    csr.AddEdge(static_cast<uint32_t>(key >> 32),
-                    static_cast<uint32_t>(key));
+  for (const uint64_t key : slots_) {
+    if (key != 0) {
+      csr.AddEdge(static_cast<uint32_t>(key >> 32), static_cast<uint32_t>(key));
+    }
   }
   return csr.Build();
 }
@@ -159,34 +218,36 @@ std::vector<GraphDelta> MakeDeltaStream(const Graph& graph, uint64_t seed,
   return deltas;
 }
 
-std::vector<MixRequest> MakeMixStream(uint64_t seed, uint32_t graphs,
-                                      uint32_t instances, size_t count) {
-  std::vector<double> cdf(graphs);
+MixStream::MixStream(uint64_t seed, uint32_t graphs, uint32_t instances)
+    : cdf_(graphs), instances_(instances), rng_(seed) {
   double total = 0.0;
   for (uint32_t i = 0; i < graphs; ++i) {
     total += 1.0 / std::pow(static_cast<double>(i + 1), 1.1);
-    cdf[i] = total;
+    cdf_[i] = total;
   }
-  for (double& c : cdf) c /= total;
-  atr::Rng rng(seed);
-  std::vector<MixRequest> stream(count);
-  for (MixRequest& request : stream) {
-    const double pick = rng.NextDouble();
-    request.graph = static_cast<uint32_t>(
-        std::lower_bound(cdf.begin(), cdf.end(), pick) - cdf.begin());
-    request.graph = std::min(request.graph, graphs - 1);
-    request.instance = static_cast<uint32_t>(rng.NextBounded(instances));
-    request.tenant = static_cast<uint32_t>(rng.NextBounded(kMixTenants));
-    request.budget = 1 + static_cast<uint32_t>(rng.NextBounded(4));
-    request.randomized = rng.NextBounded(10) == 0;
-  }
-  return stream;
+  for (double& c : cdf_) c /= total;
 }
 
-uint64_t MixStreamFingerprint(const std::vector<MixRequest>& stream) {
+MixRequest MixStream::Next() {
+  MixRequest request;
+  const double pick = rng_.NextDouble();
+  request.graph = static_cast<uint32_t>(
+      std::lower_bound(cdf_.begin(), cdf_.end(), pick) - cdf_.begin());
+  request.graph = std::min(request.graph, static_cast<uint32_t>(cdf_.size() - 1));
+  request.instance = static_cast<uint32_t>(rng_.NextBounded(instances_));
+  request.tenant = static_cast<uint32_t>(rng_.NextBounded(kMixTenants));
+  request.budget = 1 + static_cast<uint32_t>(rng_.NextBounded(4));
+  request.randomized = rng_.NextBounded(10) == 0;
+  return request;
+}
+
+uint64_t MixStreamFingerprint(uint64_t seed, uint32_t graphs,
+                              uint32_t instances, size_t count) {
+  MixStream stream(seed, graphs, instances);
   Fingerprint fp;
-  fp.Add(stream.size());
-  for (const MixRequest& r : stream) {
+  fp.Add(count);
+  for (size_t i = 0; i < count; ++i) {
+    const MixRequest r = stream.Next();
     fp.Add((static_cast<uint64_t>(r.graph) << 48) |
            (static_cast<uint64_t>(r.instance) << 40) |
            (static_cast<uint64_t>(r.tenant) << 24) |

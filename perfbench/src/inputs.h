@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -47,7 +46,15 @@ struct CatalogGraph {
   std::string name;     // served name, e.g. "pokec-a"
   std::string profile;  // MakeSocialProfile profile name
   double scale = 0.0;
+  uint64_t seed = 0;
+  uint64_t fingerprint = 0;  // GraphFingerprint at creation
   atr::Graph graph;
+
+  // Frees the graph, so the timed window holds only the server's copy.
+  void Release();
+  // Rebuilds a released graph from its seed; false when the result's
+  // fingerprint differs from the one recorded at creation.
+  bool Regenerate();
 };
 
 CatalogGraph MakeCatalogGraph(const std::string& name,
@@ -59,7 +66,10 @@ CatalogGraph MakeCatalogGraph(const std::string& name,
 atr::Graph Reingest(const atr::Graph& graph);
 
 // The present-edge set of one evolving graph version. Generates deltas
-// that are valid against the current version and applies them.
+// that are valid against the current version and applies them. Kept
+// compact (one open-addressing table of 8-byte keys, at most half full) so
+// a generator held through the timed window adds little to the process's
+// resident set.
 class EdgeSet {
  public:
   explicit EdgeSet(const atr::Graph& graph);
@@ -68,20 +78,25 @@ class EdgeSet {
   // drawn uniformly; the delta is applied to this set before returning.
   atr::GraphDelta NextDelta(atr::Rng& rng, uint32_t removes, uint32_t adds);
   void Apply(const atr::GraphDelta& delta);
+  size_t size() const { return size_; }
 
   // The version as a graph; edge ids match Graph::ApplyEdits' numbering
   // (ids are assigned in sorted (u, v) order on both paths).
   atr::Graph ToGraph() const;
 
  private:
+  // Keys are u << 32 | v with u < v, so 0 marks an empty slot.
   static uint64_t Key(uint32_t u, uint32_t v);
-  bool Contains(uint64_t key) const { return index_.count(key) != 0; }
+  size_t Home(uint64_t key) const;
+  // The key's slot, or the empty slot where it would go.
+  size_t Find(uint64_t key) const;
+  bool Contains(uint64_t key) const { return slots_[Find(key)] != 0; }
   void Insert(uint64_t key);
   void Erase(uint64_t key);
 
   uint32_t num_vertices_ = 0;
-  std::vector<uint64_t> edges_;                 // dense, for sampling
-  std::unordered_map<uint64_t, size_t> index_;  // key -> slot in edges_
+  size_t size_ = 0;
+  std::vector<uint64_t> slots_;  // linear probing, power-of-two size
 };
 
 // `count` deltas of `removes` present edges and `adds` absent pairs, each
@@ -101,12 +116,24 @@ struct MixRequest {
 
 inline constexpr uint32_t kMixTenants = 4;
 
-// `count` requests: Zipf(1.1) over `graphs` catalog ranks, a uniform
-// instance of the chosen rank, a uniform tenant, budget uniform in 1..4,
-// and 10% randomized baselines.
-std::vector<MixRequest> MakeMixStream(uint64_t seed, uint32_t graphs,
-                                      uint32_t instances, size_t count);
-uint64_t MixStreamFingerprint(const std::vector<MixRequest>& stream);
+// An endless request stream: Zipf(1.1) over `graphs` catalog ranks, a
+// uniform instance of the chosen rank, a uniform tenant, budget uniform in
+// 1..4, and 10% randomized baselines. Drawn one request at a time, so a
+// run holds none it does not issue.
+class MixStream {
+ public:
+  MixStream(uint64_t seed, uint32_t graphs, uint32_t instances);
+  MixRequest Next();
+
+ private:
+  std::vector<double> cdf_;
+  uint32_t instances_;
+  atr::Rng rng_;
+};
+
+// Fingerprint of the first `count` requests of MixStream(seed, ...).
+uint64_t MixStreamFingerprint(uint64_t seed, uint32_t graphs,
+                              uint32_t instances, size_t count);
 
 }  // namespace perfbench
 

@@ -36,8 +36,6 @@ using atr::net::AtrServer;
 using atr::net::WireSolveResult;
 using atr::net::WireSolverOptions;
 
-// Set-ups per run; setup_s is their median.
-constexpr int kSetupRepeats = 7;
 // Each update-stream delta: removes of present edges + adds of absent pairs.
 constexpr uint32_t kDeltaRemoves = 8;
 constexpr uint32_t kDeltaAdds = 8;
@@ -59,10 +57,66 @@ void Require(const atr::Status& status, const std::string& what) {
 double Seconds(int64_t ns) { return static_cast<double>(ns) / 1e9; }
 double Millis(int64_t ns) { return static_cast<double>(ns) / 1e6; }
 
+// Resets the kernel's peak-RSS mark (VmHWM) to the current resident set,
+// so PeakRssMb() reads the peak since this call. False where the kernel
+// does not allow it; the peak then counts from process start.
+bool ResetPeakRss() {
+  FILE* file = std::fopen("/proc/self/clear_refs", "w");
+  if (file == nullptr) return false;
+  const bool wrote = std::fputs("5", file) >= 0;
+  return std::fclose(file) == 0 && wrote;
+}
+
+// A "<field> <n> kB" line of /proc/self/status in MB, or -1.
+double ProcStatusMb(const char* field) {
+  FILE* file = std::fopen("/proc/self/status", "r");
+  if (file == nullptr) return -1.0;
+  const std::string format = std::string(field) + " %lf kB";
+  char line[256];
+  double kb = -1.0;
+  while (std::fgets(line, sizeof(line), file) != nullptr &&
+         std::sscanf(line, format.c_str(), &kb) != 1) {
+  }
+  std::fclose(file);
+  return kb >= 0.0 ? kb / 1024.0 : -1.0;
+}
+
+// VmHWM in MB; ru_maxrss where /proc/self/status cannot be read.
 double PeakRssMb() {
+  const double hwm = ProcStatusMb("VmHWM:");
+  if (hwm >= 0.0) return hwm;
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+// Marks the start of a timed window: peak_rss_mb counts from here, after
+// set-up and after the harness has released its own copies of the inputs.
+int64_t OpenWindow(std::vector<std::string>* notes) {
+  if (!ResetPeakRss()) {
+    notes->push_back("peak_rss_mb counts from process start: the peak-RSS "
+                     "mark cannot be reset on this kernel");
+  }
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "resident at the window start: %.1f MB",
+                ProcStatusMb("VmRSS:"));
+  notes->push_back(buf);
+  return NowNs();
+}
+
+// Releases the harness's copies of served graphs before a timed window.
+void ReleaseAll(std::vector<CatalogGraph>& graphs) {
+  for (CatalogGraph& g : graphs) g.Release();
+}
+
+// Rebuilds released graphs from their seeds for the checks after a window.
+void RegenerateAll(std::vector<CatalogGraph>& graphs) {
+  for (CatalogGraph& g : graphs) {
+    if (!g.Regenerate()) {
+      Fatal("regenerate " + g.name,
+            atr::Status::Internal("graph differs from its input digest"));
+    }
+  }
 }
 
 std::string Hex(uint64_t value) {
@@ -88,35 +142,52 @@ AtrClient Connect(AtrServer& server) {
 
 // --- Set-up ---------------------------------------------------------------
 
-// Runs `start` kSetupRepeats times, each time until a fresh client gets a
-// Ping answered. Keeps the last server; stops the others (`crash_stop`:
-// without the persist-on-stop sweep, so the on-disk chain stays as is).
-std::unique_ptr<AtrServer> RepeatedSetup(
-    const std::function<std::unique_ptr<AtrServer>()>& start, bool crash_stop,
-    double* median_s, std::vector<std::string>* notes) {
-  std::vector<double> seconds;
-  std::unique_ptr<AtrServer> server;
-  for (int i = 0; i < kSetupRepeats; ++i) {
-    if (server != nullptr) {
-      Require(crash_stop ? server->StopWithoutPersist() : server->Stop(),
-              "stop server");
-      server.reset();
+// Times set-ups: each runs `start` until a fresh client gets a Ping
+// answered. A run takes them in two bursts, one before and one after its
+// timed window, and setup_s is the median of both, so it reflects the host
+// over the whole run rather than over a few seconds of it.
+class SetupTimer {
+ public:
+  // `crash_stop`: servers stop without the persist-on-stop sweep, so the
+  // on-disk chain stays as is.
+  SetupTimer(std::function<std::unique_ptr<AtrServer>()> start,
+             bool crash_stop)
+      : start_(std::move(start)), crash_stop_(crash_stop) {}
+
+  // Runs `repeats` set-ups; returns the last server and stops the others.
+  std::unique_ptr<AtrServer> Run(int repeats) {
+    std::unique_ptr<AtrServer> server;
+    for (int i = 0; i < repeats; ++i) {
+      if (server != nullptr) Stop(std::move(server));
+      const int64_t begin = NowNs();
+      server = start_();
+      AtrClient client = Connect(*server);
+      Require(client.Ping(), "ping");
+      seconds_.push_back(Seconds(NowNs() - begin));
     }
-    const int64_t begin = NowNs();
-    server = start();
-    AtrClient client = Connect(*server);
-    Require(client.Ping(), "ping");
-    seconds.push_back(Seconds(NowNs() - begin));
+    return server;
   }
-  const Summary s = Summarize(seconds);
-  *median_s = s.median;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "setup_s median %.4f q1 %.4f q3 %.4f over %zu set-ups", s.median,
-                s.q1, s.q3, s.count);
-  notes->push_back(buf);
-  return server;
-}
+
+  void Stop(std::unique_ptr<AtrServer> server) const {
+    Require(crash_stop_ ? server->StopWithoutPersist() : server->Stop(),
+            "stop server");
+  }
+
+  void Report(RunReport* report) const {
+    const Summary s = Summarize(seconds_);
+    AddMetric(&report->end_to_end, "setup_s", s.median, "s");
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "setup_s median %.4f q1 %.4f q3 %.4f over %zu set-ups",
+                  s.median, s.q1, s.q3, s.count);
+    report->notes.push_back(buf);
+  }
+
+ private:
+  std::function<std::unique_ptr<AtrServer>()> start_;
+  bool crash_stop_;
+  std::vector<double> seconds_;
+};
 
 // In-memory server holding `graphs`: ingest (CSR build from the edge
 // list), registration and the one decomposition build per graph.
@@ -371,9 +442,8 @@ void ReportClientLayers(const ClientSamples& s, RunReport* report) {
 }
 
 void ReportSolves(const ClientSamples& s, int64_t window_start,
-                  double setup_s, RunReport* report) {
+                  RunReport* report) {
   const double window_s = Seconds(s.last_done_ns - window_start);
-  AddMetric(&report->end_to_end, "setup_s", setup_s, "s");
   AddMetric(&report->end_to_end, "solve_ms_p50", Summarize(s.latency_ms).median,
             "ms");
   AddMetric(&report->end_to_end, "solve_per_s",
@@ -438,6 +508,8 @@ std::vector<const Graph*> GraphsOf(const std::vector<CatalogGraph>& graphs) {
 
 // Instances of each of the two solve-large graph profiles.
 constexpr uint64_t kLargeInstances = 5;
+// Set-ups before and after the timed window.
+constexpr int kLargeSetups[2] = {16, 15};
 
 RunReport SolveLarge(const RunOptions& opt, Tracer& tracer) {
   RunReport report;
@@ -465,10 +537,10 @@ RunReport SolveLarge(const RunOptions& opt, Tracer& tracer) {
 
   AtrServer::Options server_options;
   server_options.workers = 1;
-  double setup_s = 0.0;
-  std::unique_ptr<AtrServer> server = RepeatedSetup(
-      [&] { return StartCatalogServer(server_options, graphs); },
-      /*crash_stop=*/false, &setup_s, &report.notes);
+  SetupTimer setup([&] { return StartCatalogServer(server_options, graphs); },
+                   /*crash_stop=*/false);
+  std::unique_ptr<AtrServer> server = setup.Run(kLargeSetups[0]);
+  ReleaseAll(graphs);
 
   AtrClient client = Connect(*server);
   SolveBook book;
@@ -483,14 +555,17 @@ RunReport SolveLarge(const RunOptions& opt, Tracer& tracer) {
   solve(graphs.size() - 1, /*timed=*/false);  // warm-up
 
   const atr::AtrService::SchedulerStats before = server->service().Stats();
-  const int64_t start = NowNs();
+  const int64_t start = OpenWindow(&report.notes);
   const int64_t deadline = start + static_cast<int64_t>(opt.seconds * 1e9);
   for (size_t i = 0; NowNs() < deadline; ++i) solve(i, /*timed=*/true);
   const atr::AtrService::SchedulerStats after = server->service().Stats();
-  ReportSolves(samples, start, setup_s, &report);
+  ReportSolves(samples, start, &report);
   client.Close();
-  Require(server->Stop(), "stop server");
+  setup.Stop(std::move(server));
 
+  RegenerateAll(graphs);
+  setup.Stop(setup.Run(kLargeSetups[1]));
+  setup.Report(&report);
   report.failed = samples.failed + VerifyCatalog(book, graphs, &report.notes);
   report.attempted = samples.attempted;
 
@@ -510,8 +585,9 @@ constexpr uint32_t kMixInstances = 3;
 constexpr uint32_t kMixTrials = 8;
 constexpr uint64_t kMixRandSeed = 7;
 constexpr double kMixWarmupSeconds = 1.0;
-// Requests generated per client; far more than a run can issue.
-constexpr size_t kMixStreamLength = 100000;
+constexpr int kMixSetups[2] = {31, 30};
+// Requests per client covered by the input digest.
+constexpr size_t kMixDigestRequests = 1000;
 
 RunReport ServeMix(const RunOptions& opt, Tracer& tracer) {
   RunReport report;
@@ -537,22 +613,22 @@ RunReport ServeMix(const RunOptions& opt, Tracer& tracer) {
       report.digest.push_back(GraphDigest(graphs.back()));
     }
   }
-  std::vector<std::vector<MixRequest>> streams;
+  const uint32_t ranks = static_cast<uint32_t>(std::size(kCatalog));
   for (int c = 0; c < kMixClients; ++c) {
-    streams.push_back(MakeMixStream(DeriveSeed(opt.seed, 20 + c),
-                                    static_cast<uint32_t>(std::size(kCatalog)),
-                                    kMixInstances, kMixStreamLength));
-    report.digest.push_back("requests client " + std::to_string(c) + ": " +
-                            Hex(MixStreamFingerprint(streams.back())));
+    report.digest.push_back(
+        "requests client " + std::to_string(c) + ", first " +
+        std::to_string(kMixDigestRequests) + ": " +
+        Hex(MixStreamFingerprint(DeriveSeed(opt.seed, 20 + c), ranks,
+                                 kMixInstances, kMixDigestRequests)));
   }
 
   AtrServer::Options server_options;
   server_options.workers = 2;
   server_options.max_batch = 8;
-  double setup_s = 0.0;
-  std::unique_ptr<AtrServer> server = RepeatedSetup(
-      [&] { return StartCatalogServer(server_options, graphs); },
-      /*crash_stop=*/false, &setup_s, &report.notes);
+  SetupTimer setup([&] { return StartCatalogServer(server_options, graphs); },
+                   /*crash_stop=*/false);
+  std::unique_ptr<AtrServer> server = setup.Run(kMixSetups[0]);
+  ReleaseAll(graphs);
 
   SolveBook book;
   std::vector<ClientSamples> per_client(kMixClients);
@@ -563,9 +639,9 @@ RunReport ServeMix(const RunOptions& opt, Tracer& tracer) {
   RunClients(kMixClients, [&](int c) {
     AtrClient client = Connect(*server);
     ClientSamples warm;
-    size_t next = 0;
+    MixStream stream(DeriveSeed(opt.seed, 20 + c), ranks, kMixInstances);
     auto issue = [&](bool timed, ClientSamples* samples) {
-      const MixRequest& r = streams[c][next++ % kMixStreamLength];
+      const MixRequest r = stream.Next();
       WireSolverOptions options;
       options.budget = r.budget;
       const char* solver = "gas";
@@ -587,7 +663,7 @@ RunReport ServeMix(const RunOptions& opt, Tracer& tracer) {
     while (NowNs() < warm_end) issue(false, &warm);
     if (warmed.fetch_add(1) + 1 == kMixClients) {
       before = server->service().Stats();
-      start.store(NowNs());
+      start.store(OpenWindow(&report.notes));
     }
     while (start.load() == 0) std::this_thread::yield();
     const int64_t deadline = start.load() + window_ns;
@@ -598,14 +674,17 @@ RunReport ServeMix(const RunOptions& opt, Tracer& tracer) {
   const atr::AtrService::SchedulerStats after = server->service().Stats();
   ClientSamples samples;
   for (const ClientSamples& s : per_client) samples.Merge(s);
-  ReportSolves(samples, start.load(), setup_s, &report);
+  ReportSolves(samples, start.load(), &report);
   if (std::optional<double> p99 = TailPercentile(samples.latency_ms, 0.99)) {
     AddMetric(&report.workload_only, "solve_ms_p99", *p99, "ms");
   } else {
     report.notes.push_back("solve_ms_p99 left out: fewer than 10 samples beyond it");
   }
-  Require(server->Stop(), "stop server");
+  setup.Stop(std::move(server));
 
+  RegenerateAll(graphs);
+  setup.Stop(setup.Run(kMixSetups[1]));
+  setup.Report(&report);
   report.failed = samples.failed + VerifyCatalog(book, graphs, &report.notes);
   report.attempted = samples.attempted;
 
@@ -626,20 +705,28 @@ RunReport ServeMix(const RunOptions& opt, Tracer& tracer) {
 // seed-to-seed spread of the read latency.
 constexpr size_t kStreamGraphs = 3;
 constexpr size_t kStreamWarmupUpdates = 8;
-// Upper bound on updates per second used to size the pre-generated streams.
-constexpr double kMaxUpdatesPerSecond = 1000.0;
+// Restarts before and after the timed window.
+constexpr int kStreamSetups[2] = {11, 10};
 
 // One served graph of update-stream and its delta stream: deltas[i] makes
-// version i + 2 (the base snapshot is version 1).
+// version i + 2 (the base snapshot is version 1). Deltas are drawn one at a
+// time against the version they target, so the run holds only those it
+// has sent.
 struct StreamGraph {
   CatalogGraph base;
-  std::vector<GraphDelta> deltas;
-  size_t next = 0;          // next delta to send (writer thread only)
-  size_t window_first = 0;  // `next` when the timed window opened
+  std::unique_ptr<EdgeSet> current;  // the version the next delta targets
+  atr::Rng rng;
+  std::vector<GraphDelta> deltas;    // drawn so far (writer thread only)
+  size_t window_first = 0;  // deltas.size() when the timed window opened
   // Read-version bounds: the last version acknowledged to the writer, and
   // the last one it has sent.
   std::atomic<uint64_t> acked{0};
   std::atomic<uint64_t> sent{0};
+
+  const GraphDelta& Draw() {
+    deltas.push_back(current->NextDelta(rng, kDeltaRemoves, kDeltaAdds));
+    return deltas.back();
+  }
 
   Graph AtVersion(uint64_t version) const {
     EdgeSet edges(base.graph);
@@ -653,32 +740,28 @@ RunReport UpdateStream(const RunOptions& opt, Tracer& tracer) {
   // kCompactThreshold - 1 deltas per graph build the restart chain, the
   // rest stream; each is valid against the version it targets.
   const size_t chain = kCompactThreshold - 1;
-  const size_t stream_len =
-      chain + kStreamWarmupUpdates + kAppendReplays +
-      static_cast<size_t>(opt.seconds * kMaxUpdatesPerSecond);
   std::deque<StreamGraph> graphs;
   for (size_t k = 0; k < kStreamGraphs; ++k) {
     StreamGraph& g = graphs.emplace_back();
     g.base = MakeCatalogGraph("pokec-" + std::to_string(k), "pokec", 0.2,
                               DeriveSeed(opt.seed, 30 + 2 * k));
-    g.deltas = MakeDeltaStream(g.base.graph, DeriveSeed(opt.seed, 31 + 2 * k),
-                               stream_len, kDeltaRemoves, kDeltaAdds);
+    g.current = std::make_unique<EdgeSet>(g.base.graph);
+    g.rng.Reseed(DeriveSeed(opt.seed, 31 + 2 * k));
     report.digest.push_back(GraphDigest(g.base));
-    report.digest.push_back(
-        "deltas " + g.base.name + ": " + std::to_string(g.deltas.size()) +
-        " x (" + std::to_string(kDeltaRemoves) + " removes + " +
-        std::to_string(kDeltaAdds) + " adds), " +
-        Hex(DeltaFingerprint(g.deltas)));
   }
   report.digest.push_back(
       "requests: gas b=1 reads of the latest version, graphs in turn");
 
   // Untimed preparation: per graph a base snapshot v1 plus a 63-delta log,
-  // left by a crash (no persist-on-stop sweep).
+  // left by a crash (no persist-on-stop sweep). A pristine copy of it
+  // serves the restarts after the window, when the served directory has
+  // moved on.
   const std::string data_dir =
       opt.work_dir + "/data-" + std::to_string(getpid());
+  const std::string pristine_dir = data_dir + "-pristine";
   std::error_code ec;
   std::filesystem::remove_all(data_dir, ec);
+  std::filesystem::remove_all(pristine_dir, ec);
   AtrServer::Options server_options;
   server_options.workers = 1;
   server_options.data_dir = data_dir;
@@ -689,32 +772,38 @@ RunReport UpdateStream(const RunOptions& opt, Tracer& tracer) {
     for (StreamGraph& g : graphs) {
       Require(prepare.AddGraph(g.base.name, Reingest(g.base.graph)), "add graph");
       for (size_t i = 0; i < chain; ++i) {
-        Require(prepare.catalog()->UpdateGraph(g.base.name, g.deltas[i]).status(),
+        Require(prepare.catalog()->UpdateGraph(g.base.name, g.Draw()).status(),
                 "prepare delta log");
       }
-      g.next = chain;
       g.acked = g.sent = chain + 1;
+      g.base.Release();
     }
     Require(prepare.StopWithoutPersist(), "crash stop");
   }
+  std::filesystem::copy(data_dir, pristine_dir,
+                        std::filesystem::copy_options::recursive, ec);
+  if (ec) Fatal("copy " + data_dir, atr::Status::Internal(ec.message()));
 
-  double setup_s = 0.0;
-  std::unique_ptr<AtrServer> server = RepeatedSetup(
+  SetupTimer setup(
       [&] {
         auto s = std::make_unique<AtrServer>(server_options);
         Require(s->Start(), "restart");
         return s;
       },
-      /*crash_stop=*/true, &setup_s, &report.notes);
-  for (const StreamGraph& g : graphs) {
-    atr::StatusOr<atr::AtrService::GraphInfo> info =
-        server->service().Info(g.base.name);
-    Require(info.status(), "info after restart");
-    if (info->version != chain + 1 || info->decomposition_builds != 0 ||
-        info->delta_chain_length != chain) {
-      Fatal("restart", atr::Status::Internal("restored an unexpected version"));
+      /*crash_stop=*/true);
+  auto check_restored = [&](AtrServer& restarted) {
+    for (const StreamGraph& g : graphs) {
+      atr::StatusOr<atr::AtrService::GraphInfo> info =
+          restarted.service().Info(g.base.name);
+      Require(info.status(), "info after restart");
+      if (info->version != chain + 1 || info->decomposition_builds != 0 ||
+          info->delta_chain_length != chain) {
+        Fatal("restart", atr::Status::Internal("restored an unexpected version"));
+      }
     }
-  }
+  };
+  std::unique_ptr<AtrServer> server = setup.Run(kStreamSetups[0]);
+  check_restored(*server);
 
   // Writer: closed-loop updates. Reader: GAS b=1 on the latest version. A
   // read runs on the version current when the server took its Submit: at
@@ -738,12 +827,10 @@ RunReport UpdateStream(const RunOptions& opt, Tracer& tracer) {
   RunClients(2, [&](int role) {
     AtrClient client = Connect(*server);
     size_t turn = 0;
-    // Returns false when the graph's pre-generated stream is used up.
     auto update = [&](bool timed) {
       StreamGraph& g = graphs[turn++ % graphs.size()];
-      if (g.next >= g.deltas.size()) return false;
-      const uint64_t expected_version = g.next + 2;
-      const GraphDelta& delta = g.deltas[g.next++];
+      const GraphDelta& delta = g.Draw();
+      const uint64_t expected_version = g.deltas.size() + 1;
       ++update_attempted;
       const uint64_t request = g_next_request.fetch_add(1);
       g.sent.store(expected_version);
@@ -753,14 +840,13 @@ RunReport UpdateStream(const RunOptions& opt, Tracer& tracer) {
       const int64_t t1 = NowNs();
       writer_done = t1;
       if (!r.ok() || r->version != expected_version ||
-          r->num_edges != g.base.graph.NumEdges()) {
+          r->num_edges != g.current->size()) {
         ++update_failed;
-        return true;
+        return;
       }
       g.acked.store(expected_version);
       if (timed) update_ms.push_back(Millis(t1 - t0));
       tracer.Record("client.update", "api", t0, t1, 0, request);
-      return true;
     };
     auto read = [&](bool timed) {
       StreamGraph& g = graphs[turn++ % graphs.size()];
@@ -781,14 +867,14 @@ RunReport UpdateStream(const RunOptions& opt, Tracer& tracer) {
     }
     if (warmed.fetch_add(1) + 1 == 2) {
       before = server->service().Stats();
-      for (StreamGraph& g : graphs) g.window_first = g.next;
-      start.store(NowNs());
+      for (StreamGraph& g : graphs) g.window_first = g.deltas.size();
+      start.store(OpenWindow(&report.notes));
     }
     while (start.load() == 0) std::this_thread::yield();
     const int64_t deadline = start.load() + window_ns;
     while (NowNs() < deadline) {
       if (role == 0) {
-        if (!update(true)) break;
+        update(true);
       } else {
         read(true);
       }
@@ -798,7 +884,7 @@ RunReport UpdateStream(const RunOptions& opt, Tracer& tracer) {
 
   // End-to-end figures.
   reads.last_done_ns = std::max(reads.last_done_ns, writer_done);
-  ReportSolves(reads, start.load(), setup_s, &report);
+  ReportSolves(reads, start.load(), &report);
   const double window_s = Seconds(writer_done - start.load());
   AddMetric(&report.workload_only, "update_ms_p50", Summarize(update_ms).median,
             "ms");
@@ -817,8 +903,20 @@ RunReport UpdateStream(const RunOptions& opt, Tracer& tracer) {
   // Each served final state must be the replayed one, and its
   // decomposition a from-scratch decomposition of that graph.
   uint64_t failed = update_failed + reads.failed;
-  for (const StreamGraph& g : graphs) {
-    const uint64_t final_version = g.next + 1;
+  for (StreamGraph& g : graphs) {
+    if (!g.base.Regenerate()) {
+      Fatal("regenerate " + g.base.name,
+            atr::Status::Internal("graph differs from its input digest"));
+    }
+    report.digest.push_back(
+        "deltas " + g.base.name + ": " + std::to_string(g.deltas.size()) +
+        " sent x (" + std::to_string(kDeltaRemoves) + " removes + " +
+        std::to_string(kDeltaAdds) + " adds); the " + std::to_string(chain) +
+        " of the restart chain " +
+        Hex(DeltaFingerprint(std::vector<GraphDelta>(
+            g.deltas.begin(), g.deltas.begin() + chain))) +
+        ", all sent " + Hex(DeltaFingerprint(g.deltas)));
+    const uint64_t final_version = g.deltas.size() + 1;
     atr::StatusOr<atr::GraphSnapshot> snapshot =
         server->service().Snapshot(g.base.name);
     bool ok = snapshot.ok() && snapshot->version == final_version &&
@@ -834,7 +932,7 @@ RunReport UpdateStream(const RunOptions& opt, Tracer& tracer) {
     const std::string where =
         g.base.name + " at version " + std::to_string(final_version);
     if (!ok) {
-      failed += g.next - chain;  // every update to this graph is suspect
+      failed += g.deltas.size() - chain;  // every update to this graph is suspect
       report.notes.push_back("WRONG FINAL STATE of " + where);
     } else {
       report.notes.push_back("final state of " + where +
@@ -844,7 +942,18 @@ RunReport UpdateStream(const RunOptions& opt, Tracer& tracer) {
   }
   Require(server->Stop(), "stop server");
   server.reset();
+
+  // The second burst of restarts, from the pre-window directory.
   std::filesystem::remove_all(data_dir, ec);
+  std::filesystem::copy(pristine_dir, data_dir,
+                        std::filesystem::copy_options::recursive, ec);
+  if (ec) Fatal("copy " + pristine_dir, atr::Status::Internal(ec.message()));
+  server = setup.Run(kStreamSetups[1]);
+  check_restored(*server);
+  setup.Stop(std::move(server));
+  setup.Report(&report);
+  std::filesystem::remove_all(data_dir, ec);
+  std::filesystem::remove_all(pristine_dir, ec);
 
   // Reads: a seeded sample of distinct answers is re-solved in process on
   // every version in its range.
@@ -873,8 +982,10 @@ RunReport UpdateStream(const RunOptions& opt, Tracer& tracer) {
 
   if (tracer.enabled()) {
     // The replay starts from the version the timed window started at on the
-    // first graph and replays that graph's window deltas.
-    const StreamGraph& g = graphs.front();
+    // first graph and replays that graph's window deltas, continued by the
+    // same generator where the window sent fewer than the replay needs.
+    StreamGraph& g = graphs.front();
+    while (g.deltas.size() < g.window_first + kAppendReplays) g.Draw();
     const Graph primary = g.AtVersion(g.window_first + 1);
     std::vector<const Graph*> catalog;
     for (const StreamGraph& s : graphs) catalog.push_back(&s.base.graph);

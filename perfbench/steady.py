@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """Steadiness check for the benchmark.
 
-    python3 perfbench/steady.py [--runs 10] [--sets 1] [--workloads a,b]
-                                [--seed-base 1] [--seconds S]
+    python3 perfbench/steady.py [--runs 10] [--sets 1]
 
-Runs every workload --runs times, each with another seed, through
-perfbench/run.py with --trace 0, and prints for each end-to-end metric the
-median, the quartiles (statistics.quantiles(n=4)) and the spread
-(q3 - q1) / median against the metric's bound in BENCHMARK.json.
+Runs every workload of BENCHMARK.json --runs times, with seeds 1..runs and
+its run_seconds, through perfbench/run.py with --trace 0, and prints for
+each end-to-end metric the median, the quartiles
+(statistics.quantiles(n=4)) and the spread (q3 - q1) / median against the
+metric's bound in BENCHMARK.json.
 
 With --sets 2 it does that twice and also checks agreement: for every
-metric, setup_s included, the second set's median may be worse than the
-first's by at most the bound.
+metric the two sets' medians may differ by at most the bound, in either
+direction, as a share of the first set's median.
 
-Exits nonzero when a spread other than setup_s exceeds its bound, when
-sets disagree, or when a run fails or reports failed operations.
+Exits nonzero when any spread, setup_s included, exceeds its bound, when
+the sets disagree, or when a run fails or reports failed operations.
 """
 
 import argparse
@@ -37,15 +37,14 @@ def run_once(workload, seed, seconds):
     return json.loads(done.stdout.rstrip("\n").split("\n")[-1])
 
 
-def run_set(spec, workloads, runs, seed_base, seconds, label):
+def run_set(spec, runs, label):
     """({workload: {metric: [values]}}, whether every run succeeded)."""
     values = {}
     ok = True
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         per_metric = {m["name"]: [] for m in spec["end_to_end"]}
-        for i in range(runs):
-            seed = seed_base + i
-            result = run_once(workload, seed, seconds)
+        for seed in range(1, runs + 1):
+            result = run_once(workload, seed, spec["run_seconds"])
             if result is None or not result["correct"] or result["failed"]:
                 print(f"{label} {workload} seed {seed}: run failed or reported "
                       f"failed operations: {result}")
@@ -71,18 +70,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--sets", type=int, choices=(1, 2), default=1)
-    parser.add_argument("--workloads",
-                        default=",".join(w["name"] for w in spec["workloads"]))
-    parser.add_argument("--seed-base", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args()
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in spec["workloads"]]
 
     sets = []
     ok = True
     for s in range(args.sets):
-        values, set_ok = run_set(spec, workloads, args.runs, args.seed_base,
-                                 args.seconds, f"set {s + 1}")
+        values, set_ok = run_set(spec, args.runs, f"set {s + 1}")
         sets.append(values)
         ok = ok and set_ok
 
@@ -100,24 +94,20 @@ def main():
                     continue
                 med, q1, q3, sp = spread(v)
                 medians.append(med)
-                gated = name != "setup_s"
                 verdict = "ok" if sp <= bound / 3 else (
                     "within bound" if sp <= bound else "TOO NOISY")
-                if not gated:
-                    verdict += " (not gated)"
-                elif sp > bound:
-                    ok = False
+                ok = ok and sp <= bound
                 print(f"{workload:<14} {name:<14} {s + 1:>3} {med:12.4f} "
                       f"{q1:12.4f} {q3:12.4f} {sp:7.3f} {bound:6.2f} {verdict}")
             if len(medians) == 2:
                 first, second = medians
-                worse = ((second - first) / first if metric["better"] == "lower"
-                         else (first - second) / first)
-                agree = worse <= bound
+                change = (second - first) / first
+                worse = change > 0 if metric["better"] == "lower" else change < 0
+                agree = abs(change) <= bound
                 ok = ok and agree
                 print(f"{workload:<14} {name:<14} agreement: second median "
-                      f"{'worse' if worse > 0 else 'better'} by "
-                      f"{abs(worse):.3f} (bound {bound:.2f}) "
+                      f"{'worse' if worse else 'better'} by "
+                      f"{abs(change):.3f} (bound {bound:.2f}) "
                       f"{'ok' if agree else 'DISAGREE'}")
     sys.exit(0 if ok else 1)
 

@@ -1,6 +1,7 @@
-// Self-test of the benchmark's own helpers: the percentile rules and the
-// input digests. Run through `python3 perfbench/run.py --selftest`, or
-// directly as .bench_build/perfbench_selftest. Exits nonzero on failure.
+// Self-test of the benchmark's own helpers: the percentile rules, the input
+// digests and the input generators. Run through
+// `python3 perfbench/run.py --selftest`, or directly as
+// .bench_build/perfbench_selftest. Exits nonzero on failure.
 
 #include <cmath>
 #include <cstdio>
@@ -65,7 +66,7 @@ uint64_t InputDigest(uint64_t seed) {
   const CatalogGraph g =
       MakeCatalogGraph("g", "college", 0.1, DeriveSeed(seed, 1));
   fp.Add(GraphFingerprint(g.graph));
-  fp.Add(MixStreamFingerprint(MakeMixStream(DeriveSeed(seed, 2), 6, 3, 500)));
+  fp.Add(MixStreamFingerprint(DeriveSeed(seed, 2), 6, 3, 500));
   fp.Add(DeltaFingerprint(MakeDeltaStream(g.graph, DeriveSeed(seed, 3), 50, 8, 8)));
   return fp.value();
 }
@@ -93,6 +94,38 @@ void TestDeltasValid() {
   Expect(ok, "generated deltas apply cleanly");
   Expect(GraphFingerprint(current) == GraphFingerprint(edges.ToGraph()),
          "edge set replay matches ApplyEdits");
+  Expect(edges.size() == g.graph.NumEdges(), "edge set keeps |E|");
+}
+
+void TestEdgeSetGrowth() {
+  // Far more adds than the table was sized for: it grows, and every edge
+  // survives the rehash and the removals that follow.
+  const CatalogGraph g = MakeCatalogGraph("g", "college", 0.05, 3);
+  EdgeSet edges(g.graph);
+  atr::Rng rng(4);
+  atr::Graph current = g.graph;
+  bool ok = true;
+  for (int i = 0; i < 40 && ok; ++i) {
+    const atr::GraphDelta delta = edges.NextDelta(rng, i % 2 ? 30 : 1, 60);
+    atr::StatusOr<atr::GraphEditResult> next = current.ApplyEdits(delta);
+    ok = next.ok();
+    if (ok) current = std::move(next->graph);
+  }
+  Expect(ok, "deltas on a growing edge set apply cleanly");
+  Expect(edges.size() == current.NumEdges(), "grown edge set counts |E|");
+  Expect(GraphFingerprint(current) == GraphFingerprint(edges.ToGraph()),
+         "grown edge set matches ApplyEdits");
+}
+
+void TestRegenerate() {
+  CatalogGraph g = MakeCatalogGraph("g", "college", 0.1, DeriveSeed(7, 1));
+  const uint64_t before = GraphFingerprint(g.graph);
+  g.Release();
+  Expect(g.graph.NumEdges() == 0, "released graph is empty");
+  Expect(g.Regenerate(), "regenerated graph matches its fingerprint");
+  Expect(GraphFingerprint(g.graph) == before, "regenerated graph is the same");
+  g.seed += 1;
+  Expect(!g.Regenerate(), "another seed does not match the fingerprint");
 }
 
 }  // namespace
@@ -104,6 +137,8 @@ int main() {
   perfbench::TestRatio();
   perfbench::TestDigest();
   perfbench::TestDeltasValid();
+  perfbench::TestEdgeSetGrowth();
+  perfbench::TestRegenerate();
   if (perfbench::failures != 0) {
     std::fprintf(stderr, "%d check(s) failed\n", perfbench::failures);
     return 1;
