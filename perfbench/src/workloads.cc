@@ -1,5 +1,6 @@
 #include "workloads.h"
 
+#include <malloc.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -92,7 +93,11 @@ double PeakRssMb() {
 
 // Marks the start of a timed window: peak_rss_mb counts from here, after
 // set-up and after the harness has released its own copies of the inputs.
+// The allocator first hands back the pages freed so far (set-ups, warm-up,
+// those copies): how many it would otherwise keep depends on the order of
+// earlier frees, and that alone moved the window's peak by up to 20 MB.
 int64_t OpenWindow(std::vector<std::string>* notes) {
+  malloc_trim(0);
   if (!ResetPeakRss()) {
     notes->push_back("peak_rss_mb counts from process start: the peak-RSS "
                      "mark cannot be reset on this kernel");
