@@ -1,33 +1,27 @@
-// Speedup of the round-synchronous parallel truss decomposition
-// (truss/parallel_peel.h) over the serial Algorithm 1 peel on the Fig. 9
-// scalability graphs (patents, pokec stand-ins) — the hot path PR 3
-// parallelizes. Every parallel run is asserted byte-identical to the
-// serial result before its time is reported, so the table can never show
-// a "speedup" that changed the answer.
+// Single-thread speedup of the flat SoA truss peel (truss/flat_peel.h, the
+// engine behind ComputeTrussDecomposition) over the serial Algorithm 1 peel
+// on the Fig. 9 scalability graphs (patents, pokec stand-ins). Every flat
+// run is asserted byte-identical to the serial result before its time is
+// reported, so the table can never show a "speedup" that changed the
+// answer.
 //
-// --plan switches to the DecompositionPlan sweep: every plan
-// (truss/plan.h) at a single thread against the serial oracle, reporting
-// the flat SoA kernels' single-thread advantage (the PR 10 acceptance bar
-// is > 2x for bsp on the Fig. 9 graphs). Rows carry
-// config = "plan:<name>" so scripts/bench_diff.py tracks each plan as its
-// own trajectory.
+// Rows keep the experiment name "bench_plan_sweep" and the configs
+// "plan:serial" (the oracle timed again, a noise reference) and "plan:bsp"
+// (the flat engine), so scripts/bench_diff.py keeps comparing them against
+// the committed BENCH_service.json trajectory.
 //
 // Knobs:
-//   ATR_BENCH_PAR_THREADS — comma-separated thread counts (default 1,2,4,8)
-//   ATR_BENCH_PAR_REPS    — repetitions per configuration, best is kept
-//                           (default 3)
+//   ATR_BENCH_PAR_REPS — repetitions per configuration, best is kept
+//                        (default 3)
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "truss/decomposition.h"
-#include "truss/parallel_peel.h"
-#include "truss/plan.h"
 #include "util/env.h"
 #include "util/parallel_for.h"
 #include "util/table_printer.h"
@@ -36,35 +30,14 @@
 namespace atr {
 namespace {
 
-std::vector<int> ThreadList() {
-  const std::string spec = GetEnvString("ATR_BENCH_PAR_THREADS", "1,2,4,8");
-  std::vector<int> threads;
-  int value = 0;
-  bool have_digit = false;
-  for (const char ch : spec + ",") {
-    if (ch >= '0' && ch <= '9') {
-      value = value * 10 + (ch - '0');
-      have_digit = true;
-    } else {
-      if (have_digit && value > 0) threads.push_back(value);
-      value = 0;
-      have_digit = false;
-    }
-  }
-  if (threads.empty()) threads = {1, 2, 4, 8};
-  return threads;
-}
-
 void ExpectIdentical(const TrussDecomposition& serial,
-                     const TrussDecomposition& parallel, const char* dataset,
-                     int threads) {
-  if (serial.trussness != parallel.trussness ||
-      serial.layer != parallel.layer ||
-      serial.max_trussness != parallel.max_trussness) {
+                     const TrussDecomposition& result, const char* dataset,
+                     const char* config) {
+  if (serial.trussness != result.trussness || serial.layer != result.layer ||
+      serial.max_trussness != result.max_trussness) {
     std::fprintf(stderr,
-                 "bench: parallel decomposition diverged from serial on %s "
-                 "at %d threads\n",
-                 dataset, threads);
+                 "bench: %s decomposition diverged from serial on %s\n",
+                 config, dataset);
     std::abort();
   }
 }
@@ -82,65 +55,7 @@ double BestSeconds(int reps, const Fn& fn) {
 }
 
 void Run() {
-  PrintBenchHeader("bench_parallel_decomposition", "Fig. 9 hot path");
-  const int reps = static_cast<int>(
-      std::max<int64_t>(1, GetEnvInt64("ATR_BENCH_PAR_REPS", 3)));
-  const std::vector<int> threads = ThreadList();
-  std::printf("reps per configuration: %d (best kept)\n", reps);
-
-  for (const char* name : {"patents", "pokec"}) {
-    const DatasetInstance data = MakeDataset(name, BenchScale());
-    const Graph& g = data.graph;
-    std::printf("\ndataset %s (|V|=%u |E|=%u k_max=%u)\n", name,
-                g.NumVertices(), g.NumEdges(), data.k_max);
-
-    TrussDecomposition serial;
-    const double serial_seconds = BestSeconds(
-        reps, [&] { serial = ComputeTrussDecompositionSerial(g); });
-
-    TablePrinter table({"Engine", "Threads", "ms", "speedup"});
-    table.AddRow({"serial", "1",
-                  TablePrinter::FormatDouble(serial_seconds * 1e3, 2),
-                  "1.00"});
-    BenchJsonRow json("bench_parallel_decomposition");
-    json.Add("dataset", name)
-        .Add("engine", "serial")
-        .AddInt("threads", 1)
-        .AddInt("edges", g.NumEdges())
-        .AddDouble("ms", serial_seconds * 1e3)
-        .AddDouble("speedup", 1.0)
-        .Emit();
-    for (const int t : threads) {
-      ScopedParallelism parallelism(t);
-      TrussDecomposition parallel;
-      const double seconds = BestSeconds(
-          reps, [&] { parallel = ComputeTrussDecompositionParallel(g); });
-      ExpectIdentical(serial, parallel, name, t);
-      table.AddRow({"parallel", std::to_string(t),
-                    TablePrinter::FormatDouble(seconds * 1e3, 2),
-                    TablePrinter::FormatDouble(serial_seconds / seconds, 2)});
-      json.Add("dataset", name)
-          .Add("engine", "parallel")
-          .AddInt("threads", t)
-          .AddInt("edges", g.NumEdges())
-          .AddDouble("ms", seconds * 1e3)
-          .AddDouble("speedup", serial_seconds / seconds)
-          .Emit();
-    }
-    table.Print();
-  }
-  std::printf(
-      "\nexpected shape: speedup grows with threads up to the physical core "
-      "count; the acceptance bar is >= 3x at 8 threads on the largest "
-      "Fig. 9 graph (pokec) on an 8-core host. Single-core containers "
-      "report ~1x by construction — the byte-identical assertion is the "
-      "hardware-independent signal.\n");
-}
-
-// The --plan sweep: every DecompositionPlan at one thread, byte-identity
-// asserted against the serial oracle before any time is reported.
-void RunPlanSweep() {
-  PrintBenchHeader("bench_plan_sweep", "Fig. 9 hot path, plan kernels");
+  PrintBenchHeader("bench_plan_sweep", "Fig. 9 hot path, flat vs serial peel");
   const int reps = static_cast<int>(
       std::max<int64_t>(1, GetEnvInt64("ATR_BENCH_PAR_REPS", 3)));
   std::printf("reps per configuration: %d (best kept), 1 thread\n", reps);
@@ -156,23 +71,26 @@ void RunPlanSweep() {
     const double serial_seconds = BestSeconds(
         reps, [&] { serial = ComputeTrussDecompositionSerial(g); });
 
-    TablePrinter table({"Plan", "ms", "speedup_vs_serial"});
+    TablePrinter table({"Config", "ms", "speedup_vs_serial"});
     table.AddRow({"serial-oracle",
                   TablePrinter::FormatDouble(serial_seconds * 1e3, 2),
                   "1.00"});
     BenchJsonRow json("bench_plan_sweep");
-    for (const DecompositionPlan& plan :
-         {DecompositionPlan::Serial(), DecompositionPlan::Bsp(),
-          DecompositionPlan::BspCoreThenTruss()}) {
+    struct Config {
+      const char* label;
+      TrussDecomposition (*decompose)(const Graph&, const std::vector<bool>&);
+    };
+    for (const Config& config :
+         {Config{"plan:serial", &ComputeTrussDecompositionSerial},
+          Config{"plan:bsp", &ComputeTrussDecomposition}}) {
       TrussDecomposition result;
-      const double seconds = BestSeconds(reps, [&] {
-        result = ComputeTrussDecompositionWithPlan(g, {}, plan);
-      });
-      ExpectIdentical(serial, result, name, 1);
-      table.AddRow({plan.Name(), TablePrinter::FormatDouble(seconds * 1e3, 2),
+      const double seconds =
+          BestSeconds(reps, [&] { result = config.decompose(g, {}); });
+      ExpectIdentical(serial, result, name, config.label);
+      table.AddRow({config.label, TablePrinter::FormatDouble(seconds * 1e3, 2),
                     TablePrinter::FormatDouble(serial_seconds / seconds, 2)});
       json.Add("dataset", name)
-          .Add("config", "plan:" + plan.Name())
+          .Add("config", config.label)
           .AddInt("threads", 1)
           .AddInt("edges", g.NumEdges())
           .AddDouble("ms", seconds * 1e3)
@@ -182,10 +100,9 @@ void RunPlanSweep() {
     table.Print();
   }
   std::printf(
-      "\nexpected shape: the flat bsp kernels beat the serial bucket peel "
-      "at one thread (acceptance bar > 2x on the Fig. 9 graphs); "
-      "bsp-core-truss adds the k-core prefilter, which pays on graphs with "
-      "a large triangle-free fringe.\n");
+      "\nexpected shape: the flat engine (plan:bsp) beats the serial bucket "
+      "peel at one thread (acceptance bar > 2x on the Fig. 9 graphs); "
+      "plan:serial stays near 1x.\n");
 }
 
 }  // namespace
@@ -193,14 +110,6 @@ void RunPlanSweep() {
 
 int main(int argc, char** argv) {
   atr::ParseBenchFlags(argc, argv);
-  bool plan_sweep = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--plan") == 0) plan_sweep = true;
-  }
-  if (plan_sweep) {
-    atr::RunPlanSweep();
-  } else {
-    atr::Run();
-  }
+  atr::Run();
   return 0;
 }

@@ -178,12 +178,6 @@ class AtrService {
   struct SubmitOptions {
     std::string tenant;
     int priority = 0;
-    // When set, overrides SolverOptions::plan for this job — the wire
-    // layer's submit-scoped decomposition-plan selection (protocol rev 3).
-    // The effective plan governs the snapshot's lazy decomposition build
-    // and partitions the fusion batch key, so jobs with different plans
-    // never fuse.
-    std::optional<DecompositionPlan> plan;
   };
 
   AtrService() : AtrService(Options()) {}

@@ -73,7 +73,7 @@ struct SolverOptions {
   // with stopped_early set.
   double wall_clock_limit_seconds = 0.0;
   // Worker threads for the parallel inner loops, including the truss
-  // decomposition itself (the round-synchronous parallel peel is
+  // decomposition itself (the round-synchronous flat peel is
   // byte-identical to the serial result at every thread count, so results
   // never depend on this setting); 0 keeps the process-wide default
   // (ATR_THREADS env, else hardware concurrency).
@@ -84,13 +84,6 @@ struct SolverOptions {
   // speculative apply/rollback). Results are identical to the
   // full-recompute path; ignored by the other solvers.
   bool use_incremental = false;
-  // Decomposition kernel selection (truss/plan.h). The solver adapters
-  // install this as the thread's ambient plan for the whole Solve call, so
-  // the lazy SolverContext::Decomposition build and every nested subset
-  // recompute inside the objective engines dispatch through it. Every plan
-  // is byte-identical to the serial oracle, so — like `threads` — this
-  // never changes a result.
-  DecompositionPlan plan = DecompositionPlan::Default();
   // Called after every round/checkpoint; returning false cancels the run
   // (result is the prefix selected so far, stopped_early set).
   std::function<bool(const SolveProgress&)> progress;

@@ -235,7 +235,7 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
 
     // sla(x) under the *old* tree: every node currently triangle-adjacent to
     // x from above. These become dirty because x turns into an
-    // always-countable partner inside them (DESIGN.md §4 deviation).
+    // always-countable partner inside them (docs/DESIGN.md §4 deviation).
     std::vector<uint32_t> next_dirty;
     const uint32_t tx = current->trussness[x];
     {

@@ -10,7 +10,7 @@
 //     are rebuilt, and the dirty-node set for the next round is derived from
 //     the edges whose (trussness, layer) changed plus the anchored edge's
 //     subtree-adjacency (a correctness-preserving superset of the paper's
-//     ES — see DESIGN.md §4).
+//     ES — see docs/DESIGN.md §4).
 //
 // GAS must select exactly the same anchor sequence as BASE and BASE+ (the
 // reuse is exact); the property tests enforce this.

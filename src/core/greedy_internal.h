@@ -5,9 +5,9 @@
 // GreedyControl::use_incremental.
 //
 // The greedy cores keep no private support state of their own: every
-// (re)decomposition below goes through truss/decomposition.h, which
-// dispatches to the round-synchronous parallel peel under the solver's
-// ScopedParallelism worker count with byte-identical results.
+// (re)decomposition below goes through truss/decomposition.h, whose flat
+// peel runs under the solver's ScopedParallelism worker count with
+// byte-identical results.
 
 #ifndef ATR_CORE_GREEDY_INTERNAL_H_
 #define ATR_CORE_GREEDY_INTERNAL_H_

@@ -3,7 +3,7 @@
 // b-anchor gain equals the optimal b-set coverage. Used by the validation
 // suite to exercise the problem structure end-to-end.
 //
-// Layout (see DESIGN.md): a hub vertex h; per set T_i a "set edge"
+// Layout (see docs/DESIGN.md §3): a hub vertex h; per set T_i a "set edge"
 // a_i = (h, A_i); per element e_j an "element edge" f_j = (h, F_j). For
 // every (i, j) with e_j in T_i, a (t+3)-clique containing A_i and F_j closes
 // the triangle {a_i, f_j, (A_i, F_j)}. Each f_j additionally gets t

@@ -17,7 +17,6 @@
 #define ATR_GRAPH_FLAT_VIEW_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -71,10 +70,6 @@ struct FlatGraphView {
 
   static FlatGraphView Build(const Graph& g);
 };
-
-// Shared-ownership handle mirroring SharedTrussDecomposition: one view per
-// immutable snapshot, shared by every consumer that peels it.
-using SharedFlatGraphView = std::shared_ptr<const FlatGraphView>;
 
 }  // namespace atr
 

@@ -3,7 +3,7 @@
 // Table III of the paper evaluates on College, Facebook, Brightkite,
 // Gowalla, Youtube, Google, Patents, Pokec. Offline, we substitute each with
 // a deterministic generator whose family matches the original's structural
-// profile (documented per profile below and in DESIGN.md §3), scaled to
+// profile (documented per profile below and in docs/DESIGN.md §3), scaled to
 // laptop size. `scale` in (0, 1] shrinks vertex counts proportionally so
 // the scalability experiments can sweep sizes.
 

@@ -2,26 +2,10 @@
 
 #include <algorithm>
 
-#include "util/env.h"
 #include "util/macros.h"
-#include "util/parallel_for.h"
 
 namespace atr {
 namespace internal {
-namespace {
-
-double g_triangle_cutoff =
-    GetEnvDouble("ATR_TRIANGLE_CUTOFF", kDefaultTriangleCutoff);
-
-}  // namespace
-
-double TriangleCutoff() { return g_triangle_cutoff; }
-
-double SetTriangleCutoffForTest(double cutoff) {
-  const double previous = g_triangle_cutoff;
-  g_triangle_cutoff = cutoff;
-  return previous;
-}
 
 OrientedAdjacency BuildOrientedAdjacency(const Graph& g) {
   const uint32_t n = g.NumVertices();
@@ -73,58 +57,17 @@ uint32_t EdgeSupport(const Graph& g, EdgeId e) {
   return support;
 }
 
-uint32_t EdgeSupportWithin(const Graph& g, EdgeId e,
-                           const std::vector<bool>& within) {
-  uint32_t support = 0;
-  if (within.empty()) {
-    ForEachTriangleOfEdgeAdaptive(
-        g, e, [&](VertexId, EdgeId, EdgeId) { ++support; });
-  } else {
-    ForEachTriangleOfEdgeAdaptive(g, e, [&](VertexId, EdgeId e1, EdgeId e2) {
-      if (within[e1] && within[e2]) ++support;
-    });
-  }
-  return support;
-}
-
-std::vector<uint32_t> ComputeSupport(const Graph& g) {
+std::vector<uint32_t> ComputeSupport(const Graph& g,
+                                     const std::vector<bool>& within) {
+  ATR_CHECK(within.empty() || within.size() == g.NumEdges());
   std::vector<uint32_t> support(g.NumEdges(), 0);
-  ForEachTriangle(g, [&support](TriangleEdges t) {
+  ForEachTriangle(g, [&](TriangleEdges t) {
+    if (!within.empty() && !(within[t.e1] && within[t.e2] && within[t.e3])) {
+      return;
+    }
     ++support[t.e1];
     ++support[t.e2];
     ++support[t.e3];
-  });
-  return support;
-}
-
-std::vector<uint32_t> ComputeSupportParallel(const Graph& g,
-                                             const std::vector<bool>& within) {
-  const uint32_t m = g.NumEdges();
-  ATR_CHECK(within.empty() || within.size() == m);
-  // Per-edge counting does ~3x the work of the oriented whole-graph sweep
-  // (each triangle is enumerated once per member edge), so sharding it
-  // only pays off from ~3-4 workers; below that — including inside a
-  // ParallelFor body, where nested calls run inline — use the sweep. The
-  // counts are identical either way.
-  if (ParallelWorkerCount() < 4) {
-    if (within.empty()) return ComputeSupport(g);
-    std::vector<uint32_t> support(m, 0);
-    ForEachTriangle(g, [&](TriangleEdges t) {
-      if (within[t.e1] && within[t.e2] && within[t.e3]) {
-        ++support[t.e1];
-        ++support[t.e2];
-        ++support[t.e3];
-      }
-    });
-    return support;
-  }
-  std::vector<uint32_t> support(m, 0);
-  ParallelFor(m, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const EdgeId e = static_cast<EdgeId>(i);
-      if (!within.empty() && !within[e]) continue;
-      support[e] = EdgeSupportWithin(g, e, within);
-    }
   });
   return support;
 }

@@ -7,6 +7,10 @@ namespace atr {
 namespace net {
 namespace {
 
+// Highest algorithm id a revision-3 Submit trailer could name (serial,
+// bsp, bsp-core-truss); a larger id was never valid on the wire.
+constexpr uint8_t kMaxRevision3PlanAlgorithm = 2;
+
 // Shared decode preamble: every payload starts with the u64 request_id.
 bool ReadRequestId(ByteReader& reader, uint64_t* request_id) {
   return reader.ReadU64(request_id);
@@ -301,14 +305,6 @@ std::vector<uint8_t> SubmitRequest::EncodeFrame() const {
   w.WriteU8(options.use_incremental ? 1 : 0);
   w.WriteString(tenant);
   w.WriteU32(static_cast<uint32_t>(priority));
-  // Revision-3 trailing fields; a request without an explicit plan stays
-  // byte-identical to a revision-2 frame.
-  if (plan.has_value()) {
-    w.WriteU8(static_cast<uint8_t>(plan->algorithm));
-    w.WriteU32(plan->chunk_size);
-    w.WriteU32(plan->fanout_cutoff);
-    w.WriteU8(plan->prefilter ? 1 : 0);
-  }
   return FinishFrame(MsgType::kSubmit, w);
 }
 
@@ -335,23 +331,19 @@ StatusOr<SubmitRequest> SubmitRequest::Decode(
     }
     out.priority = static_cast<int32_t>(raw_priority);
   }
-  // Plan selection arrived in revision 3; a payload ending at the rev-2
-  // fields leaves the plan unset (server default). Unknown algorithm ids
-  // are rejected — untrusted-bytes boundary, never aborts.
+  // Revision 3 appended a decomposition-plan trailer. It selects nothing
+  // any more, but a frame carrying one is still validated before the
+  // trailer is dropped — untrusted-bytes boundary, never aborts.
   if (r.remaining() > 0) {
     uint8_t algorithm = 0;
+    uint32_t chunk_size = 0;
+    uint32_t fanout_cutoff = 0;
     uint8_t prefilter = 0;
-    DecompositionPlan plan;
-    if (!r.ReadU8(&algorithm) || !r.ReadU32(&plan.chunk_size) ||
-        !r.ReadU32(&plan.fanout_cutoff) || !r.ReadU8(&prefilter)) {
+    if (!r.ReadU8(&algorithm) || !r.ReadU32(&chunk_size) ||
+        !r.ReadU32(&fanout_cutoff) || !r.ReadU8(&prefilter) ||
+        algorithm > kMaxRevision3PlanAlgorithm) {
       return DecodeError("SubmitRequest");
     }
-    if (algorithm > static_cast<uint8_t>(PeelAlgorithm::kBspCoreThenTruss)) {
-      return DecodeError("SubmitRequest");
-    }
-    plan.algorithm = static_cast<PeelAlgorithm>(algorithm);
-    plan.prefilter = prefilter != 0;
-    out.plan = plan;
   }
   if (Status s = FinishDecode(r, "SubmitRequest"); !s.ok()) return s;
   return out;

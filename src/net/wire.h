@@ -197,13 +197,11 @@ struct SubmitRequest {
   // tenant ("") at priority 0.
   std::string tenant;
   int32_t priority = 0;
-  // Decomposition plan selection (protocol revision 3): u8 algorithm id,
-  // u32 chunk_size, u32 fanout_cutoff, u8 prefilter, trailing after the
-  // rev-2 fields and only encoded when set. Absent — any frame ending at
-  // priority or earlier — means "server default" (nullopt). Unknown
-  // algorithm ids are a decode error, not a fallback: silently running a
-  // different kernel than a newer client asked for would be misleading.
-  std::optional<DecompositionPlan> plan;
+  // Protocol revision 3 appended a 10-byte decomposition-plan trailer
+  // (u8 algorithm id, u32, u32, u8). The server has one decomposition
+  // engine, so Decode still validates a trailer — torn bytes or an
+  // algorithm id above 2 are an error — and then ignores it; EncodeFrame
+  // never writes one.
 
   std::vector<uint8_t> EncodeFrame() const;
   static StatusOr<SubmitRequest> Decode(std::span<const uint8_t> payload);

@@ -92,13 +92,20 @@ Status DeltaLogWriter::Append(uint64_t version, const GraphDelta& delta) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("DeltaLogWriter: Append before Open");
   }
+  if (failed_) {
+    return Status::FailedPrecondition(
+        "DeltaLogWriter: an earlier append to " + path_ +
+        " failed; the log must be rewritten or reopened before appending");
+  }
   const std::vector<uint8_t> record = EncodeDeltaRecord(version, delta);
   if (std::fwrite(record.data(), 1, record.size(), file_) != record.size() ||
       std::fflush(file_) != 0) {
+    failed_ = true;
     return Status::Internal("DeltaLogWriter: short write to " + path_ + ": " +
                             std::strerror(errno));
   }
   if (::fsync(::fileno(file_)) != 0) {
+    failed_ = true;
     return Status::Internal("DeltaLogWriter: fsync(" + path_ +
                             ") failed: " + std::strerror(errno));
   }
@@ -111,6 +118,7 @@ void DeltaLogWriter::Close() {
     file_ = nullptr;
   }
   path_.clear();
+  failed_ = false;
 }
 
 }  // namespace persist

@@ -62,6 +62,14 @@ DeltaLogContents DecodeDeltaLog(std::span<const uint8_t> bytes);
 // only after the record's bytes are flushed and fsync'd, so a crash can
 // tear at most the record being written — exactly what DecodeDeltaLog
 // tolerates.
+//
+// A failed write, flush, or fsync may leave a torn record in the file,
+// and a record appended after it would be unreadable (replay stops at
+// the tear). A failed fsync cannot be retried safely either: the kernel
+// may already have dropped the dirty pages. So after any failure the
+// writer refuses every later Append with kFailedPrecondition until it is
+// reopened; the owner recovers by rewriting the log (compaction) or by a
+// restart, whose replay truncates the torn tail.
 class DeltaLogWriter {
  public:
   DeltaLogWriter() = default;
@@ -75,7 +83,8 @@ class DeltaLogWriter {
 
   bool is_open() const { return file_ != nullptr; }
 
-  // Appends one record durably (write + flush + fsync).
+  // Appends one record durably (write + flush + fsync). Fails without
+  // writing once an earlier Append on this open file failed.
   Status Append(uint64_t version, const GraphDelta& delta);
 
   void Close();
@@ -83,6 +92,7 @@ class DeltaLogWriter {
  private:
   std::FILE* file_ = nullptr;
   std::string path_;
+  bool failed_ = false;  // an Append failed since Open; see class comment
 };
 
 }  // namespace persist

@@ -4,9 +4,7 @@
 
 #include "graph/triangles.h"
 #include "truss/flat_peel.h"
-#include "truss/plan.h"
 #include "util/macros.h"
-#include "util/parallel_for.h"
 
 namespace atr {
 namespace {
@@ -116,49 +114,21 @@ TrussDecomposition Peel(const Graph& g, const std::vector<bool>& anchored,
 
 }  // namespace
 
-TrussDecomposition ComputeTrussDecompositionWithPlan(
-    const Graph& g, const std::vector<bool>& anchored,
-    const DecompositionPlan& plan) {
-  if (plan.algorithm == PeelAlgorithm::kSerial) {
-    return ComputeTrussDecompositionSerial(g, anchored);
-  }
-  return ComputeTrussDecompositionFlat(g, anchored, plan);
-}
-
 TrussDecomposition ComputeTrussDecomposition(
     const Graph& g, const std::vector<bool>& anchored) {
-  return ComputeTrussDecompositionWithPlan(g, anchored,
-                                           DecompositionPlan::Ambient());
-}
-
-SharedTrussDecomposition ComputeSharedTrussDecompositionWithPlan(
-    const Graph& g, const std::vector<bool>& anchored,
-    const DecompositionPlan& plan) {
-  return std::make_shared<const TrussDecomposition>(
-      ComputeTrussDecompositionWithPlan(g, anchored, plan));
+  return ComputeTrussDecompositionFlat(g, anchored);
 }
 
 SharedTrussDecomposition ComputeSharedTrussDecomposition(
     const Graph& g, const std::vector<bool>& anchored) {
-  return ComputeSharedTrussDecompositionWithPlan(g, anchored,
-                                                 DecompositionPlan::Ambient());
-}
-
-TrussDecomposition ComputeTrussDecompositionOnSubsetWithPlan(
-    const Graph& g, const std::vector<bool>& anchored,
-    const std::vector<EdgeId>& edge_subset, const DecompositionPlan& plan) {
-  if (plan.algorithm == PeelAlgorithm::kSerial) {
-    return ComputeTrussDecompositionOnSubsetSerial(g, anchored, edge_subset);
-  }
-  return ComputeTrussDecompositionOnSubsetFlat(g, anchored, edge_subset,
-                                               plan);
+  return std::make_shared<const TrussDecomposition>(
+      ComputeTrussDecompositionFlat(g, anchored));
 }
 
 TrussDecomposition ComputeTrussDecompositionOnSubset(
     const Graph& g, const std::vector<bool>& anchored,
     const std::vector<EdgeId>& edge_subset) {
-  return ComputeTrussDecompositionOnSubsetWithPlan(
-      g, anchored, edge_subset, DecompositionPlan::Ambient());
+  return ComputeTrussDecompositionOnSubsetFlat(g, anchored, edge_subset);
 }
 
 TrussDecomposition ComputeTrussDecompositionSerial(

@@ -1,8 +1,8 @@
 // FairScheduler — multi-tenant batch scheduler for job-level concurrency
 // (the sharded AtrService's submit path).
 //
-// Where TaskQueue is one FIFO, FairScheduler keeps one FIFO *per tenant
-// per priority* and dispatches across tenants with weighted deficit
+// FairScheduler runs submitted jobs on a fixed set of worker threads. It
+// keeps one FIFO *per tenant per priority* and dispatches across tenants with weighted deficit
 // round-robin (WDRR): each tenant in the ready ring gets a deficit of
 // quantum x weight jobs per visit, so a tenant flooding the queue cannot
 // starve a light one — the light tenant's next job dispatches after at
@@ -18,7 +18,7 @@
 // jobs *within* a tenant's priority bucket. Jobs with an empty batch_key
 // always run alone.
 //
-// Capacity and backpressure mirror TaskQueue: Submit blocks while the
+// Capacity and backpressure: Submit blocks while the
 // total pending count is at capacity, TrySubmit fails fast with
 // kResourceExhausted, and both reject with kFailedPrecondition after
 // Shutdown. Worker threads install a ScopedParallelism override so inner

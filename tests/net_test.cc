@@ -99,81 +99,69 @@ TEST(WireCodec, SubmitRequestCarriesTenantAndPriority) {
   EXPECT_EQ(decoded->priority, -3);
 }
 
-TEST(WireCodec, SubmitRequestCarriesPlan) {
+// A revision-3 Submit payload: the revision-2 payload of `request` plus
+// the 10-byte decomposition-plan trailer (u8 algorithm id, u32 chunk size,
+// u32 fan-out cutoff, u8 prefilter) that revision 3 appended.
+std::vector<uint8_t> Revision3SubmitPayload(const SubmitRequest& request,
+                                            uint8_t algorithm) {
+  std::vector<uint8_t> payload =
+      PayloadOf(request.EncodeFrame(), MsgType::kSubmit);
+  ByteWriter trailer;
+  trailer.WriteU8(algorithm);
+  trailer.WriteU32(512);
+  trailer.WriteU32(1024);
+  trailer.WriteU8(1);
+  payload.insert(payload.end(), trailer.buffer().begin(),
+                 trailer.buffer().end());
+  return payload;
+}
+
+SubmitRequest TenantSubmit() {
   SubmitRequest request;
   request.request_id = 44;
   request.graph = "social";
   request.solver = "gas";
   request.options.budget = 2;
   request.tenant = "acme";
-  request.priority = 1;
-  DecompositionPlan plan = DecompositionPlan::BspCoreThenTruss();
-  plan.chunk_size = 512;
-  plan.fanout_cutoff = 1024;
-  plan.prefilter = true;
-  request.plan = plan;
-
-  StatusOr<SubmitRequest> decoded =
-      SubmitRequest::Decode(PayloadOf(request.EncodeFrame(), MsgType::kSubmit));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-  ASSERT_TRUE(decoded->plan.has_value());
-  EXPECT_EQ(decoded->plan->algorithm, PeelAlgorithm::kBspCoreThenTruss);
-  EXPECT_EQ(decoded->plan->chunk_size, 512u);
-  EXPECT_EQ(decoded->plan->fanout_cutoff, 1024u);
-  EXPECT_TRUE(decoded->plan->prefilter);
-  EXPECT_EQ(decoded->tenant, "acme");
-
-  // Without an explicit plan the frame stays byte-identical to revision 2
-  // and decodes to "unset" (server default), never to some plan value.
-  request.plan.reset();
-  StatusOr<SubmitRequest> plain =
-      SubmitRequest::Decode(PayloadOf(request.EncodeFrame(), MsgType::kSubmit));
-  ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(plain->plan.has_value());
+  request.priority = -2;
+  return request;
 }
 
-TEST(WireCodec, SubmitRequestRev2PrefixDecodesWithoutPlan) {
-  // A revision-2 client's frame is exactly a revision-3 frame minus the
-  // 10-byte plan trailer; the server must decode it with the plan unset
-  // while keeping the rev-2 fields.
-  SubmitRequest request;
-  request.request_id = 45;
-  request.graph = "g";
-  request.solver = "gas";
-  request.tenant = "acme";
-  request.priority = -2;
-  request.plan = DecompositionPlan::Bsp();
-  const std::vector<uint8_t> frame = request.EncodeFrame();
-  const std::span<const uint8_t> payload(frame.data() + 8, frame.size() - 8);
+TEST(WireCodec, SubmitRequestRevision3TrailerIsValidatedAndIgnored) {
+  const SubmitRequest request = TenantSubmit();
+  const std::vector<uint8_t> rev2_frame = request.EncodeFrame();
+  for (const uint8_t algorithm : {0, 1, 2}) {
+    StatusOr<SubmitRequest> decoded =
+        SubmitRequest::Decode(Revision3SubmitPayload(request, algorithm));
+    ASSERT_TRUE(decoded.ok()) << "algorithm id " << int(algorithm) << ": "
+                              << decoded.status().message();
+    EXPECT_EQ(decoded->tenant, "acme");
+    EXPECT_EQ(decoded->priority, -2);
+    // The trailer is dropped: re-encoding yields the revision-2 frame.
+    EXPECT_EQ(decoded->EncodeFrame(), rev2_frame)
+        << "algorithm id " << int(algorithm);
+  }
+}
 
-  StatusOr<SubmitRequest> rev2 =
-      SubmitRequest::Decode(payload.subspan(0, payload.size() - 10));
-  ASSERT_TRUE(rev2.ok()) << rev2.status().message();
-  EXPECT_FALSE(rev2->plan.has_value());
-  EXPECT_EQ(rev2->tenant, "acme");
-  EXPECT_EQ(rev2->priority, -2);
-
-  // Every other strict prefix of the trailer is a malformed frame.
+TEST(WireCodec, SubmitRequestRejectsTornRevision3Trailer) {
+  const std::vector<uint8_t> payload =
+      Revision3SubmitPayload(TenantSubmit(), /*algorithm=*/1);
+  const std::span<const uint8_t> bytes(payload);
+  // Cutting the whole trailer leaves a valid revision-2 frame; every
+  // other strict prefix of the trailer is a malformed frame.
+  ASSERT_TRUE(SubmitRequest::Decode(bytes.subspan(0, bytes.size() - 10)).ok());
   for (size_t cut = 1; cut < 10; ++cut) {
     EXPECT_FALSE(
-        SubmitRequest::Decode(payload.subspan(0, payload.size() - cut)).ok())
+        SubmitRequest::Decode(bytes.subspan(0, bytes.size() - cut)).ok())
         << "trailer cut " << cut;
   }
 }
 
 TEST(WireCodec, SubmitRequestRejectsUnknownPlanAlgorithm) {
-  SubmitRequest request;
-  request.request_id = 46;
-  request.graph = "g";
-  request.solver = "gas";
-  request.plan = DecompositionPlan::Serial();
-  std::vector<uint8_t> frame = request.EncodeFrame();
-  // The algorithm id leads the 10-byte plan trailer at the payload tail.
-  const size_t algorithm_at = frame.size() - 10;
   for (const uint8_t bogus : {3, 7, 255}) {
-    frame[algorithm_at] = bogus;
-    const std::span<const uint8_t> payload(frame.data() + 8, frame.size() - 8);
-    EXPECT_FALSE(SubmitRequest::Decode(payload).ok())
+    EXPECT_FALSE(
+        SubmitRequest::Decode(Revision3SubmitPayload(TenantSubmit(), bogus))
+            .ok())
         << "algorithm id " << static_cast<int>(bogus);
   }
 }
@@ -709,10 +697,17 @@ TEST(ServerIntegration, TenantAndPrioritySubmitOverTcp) {
   EXPECT_EQ(tenant_result->total_gain, plain_result->total_gain);
 }
 
-TEST(ServerIntegration, PlanSubmitOverTcp) {
-  // The plan rides the wire to the worker thread; every plan is
-  // byte-identical in decomposition output, so solve results must match
-  // the plan-less submit exactly.
+// The solve result as wire bytes, minus the wall-clock field.
+std::vector<uint8_t> ResultBytes(WireSolveResult result) {
+  result.seconds = 0.0;
+  WaitResponse response;
+  response.result = std::move(result);
+  return response.EncodeFrame();
+}
+
+TEST(ServerIntegration, Revision3SubmitOverTcpMatchesRevision2) {
+  // A revision-3 client's plan trailer is accepted and ignored: each
+  // algorithm id solves to exactly the result of the trailer-less submit.
   ServerFixture fixture;
   ASSERT_TRUE(fixture.server().AddGraph("social", ServedGraph()).ok());
   AtrClient client = fixture.MakeClient();
@@ -724,17 +719,37 @@ TEST(ServerIntegration, PlanSubmitOverTcp) {
   StatusOr<WireSolveResult> plain_result = client.Wait(*plain);
   ASSERT_TRUE(plain_result.ok());
 
-  for (const DecompositionPlan& plan :
-       {DecompositionPlan::Serial(), DecompositionPlan::Bsp(),
-        DecompositionPlan::BspCoreThenTruss()}) {
-    StatusOr<uint64_t> job = client.Submit("social", "gas", options,
-                                           /*tenant=*/"", /*priority=*/0, plan);
-    ASSERT_TRUE(job.ok()) << plan.Name();
-    StatusOr<WireSolveResult> result = client.Wait(*job);
-    ASSERT_TRUE(result.ok()) << plan.Name();
-    EXPECT_EQ(result->anchor_edges, plain_result->anchor_edges) << plan.Name();
-    EXPECT_EQ(result->total_gain, plain_result->total_gain) << plan.Name();
+  const int fd = RawConnect(fixture.server().port());
+  FrameParser parser;
+  for (const uint8_t algorithm : {0, 1, 2}) {
+    SubmitRequest request;
+    request.request_id = 100 + algorithm;
+    request.graph = "social";
+    request.solver = "gas";
+    request.options = options;
+    const std::vector<uint8_t> frame = EncodeFrame(
+        MsgType::kSubmit, Revision3SubmitPayload(request, algorithm));
+    ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    std::optional<Frame> reply;
+    while (!(reply = parser.Next()).has_value()) {
+      uint8_t buffer[256];
+      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+      ASSERT_GT(n, 0) << "algorithm id " << int(algorithm);
+      parser.Feed(buffer, static_cast<size_t>(n));
+    }
+    ASSERT_EQ(reply->type, MsgType::kSubmitResponse)
+        << "algorithm id " << int(algorithm);
+    StatusOr<SubmitResponse> submitted = SubmitResponse::Decode(reply->payload);
+    ASSERT_TRUE(submitted.ok());
+    EXPECT_EQ(submitted->request_id, request.request_id);
+
+    StatusOr<WireSolveResult> result = client.Wait(submitted->job_id);
+    ASSERT_TRUE(result.ok()) << "algorithm id " << int(algorithm);
+    EXPECT_EQ(ResultBytes(*result), ResultBytes(*plain_result))
+        << "algorithm id " << int(algorithm);
   }
+  ::close(fd);
 }
 
 TEST(ClientDeadline, SilentServerYieldsDeadlineExceeded) {

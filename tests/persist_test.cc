@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -190,6 +193,64 @@ TEST(DeltaLog, WriterAppendsDurably) {
   ASSERT_EQ(contents.records.size(), 2u);
   EXPECT_EQ(contents.records[0].version, 2u);
   EXPECT_EQ(contents.records[1].version, 3u);
+}
+
+TEST(DeltaLog, WriterRefusesAppendsAfterATornWrite) {
+  const std::string root = FreshRoot("delta_torn_writer");
+  ASSERT_TRUE(CatalogStore(root).Init().ok());
+  const std::string path = root + "/test.log";
+
+  // Every Append that returns OK is an acknowledged update and must
+  // survive replay.
+  std::vector<uint64_t> acknowledged;
+  DeltaLogWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  ASSERT_TRUE(writer.Append(1, MakeDelta(0)).ok());
+  acknowledged.push_back(1);
+  StatusOr<std::vector<uint8_t>> before = ReadFileBytes(path);
+  ASSERT_TRUE(before.ok());
+
+  // Cap the file size so the next record tears 10 bytes in. SIGXFSZ is
+  // ignored so the write fails with EFBIG instead of killing the process.
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  struct sigaction old_action {};
+  ASSERT_EQ(::sigaction(SIGXFSZ, &ignore, &old_action), 0);
+  struct rlimit old_limit {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  struct rlimit capped = old_limit;
+  capped.rlim_cur = before->size() + 10;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const Status torn = writer.Append(2, MakeDelta(1));
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  ASSERT_EQ(::sigaction(SIGXFSZ, &old_action, nullptr), 0);
+  EXPECT_FALSE(torn.ok());
+
+  // The cap is lifted, but the file now ends in a torn record: a retry of
+  // the same version, or the next one, must be refused rather than land
+  // behind bytes that replay stops at.
+  for (const uint64_t version : {2, 3}) {
+    const Status retried =
+        writer.Append(version, MakeDelta(static_cast<uint32_t>(version)));
+    EXPECT_EQ(retried.code(), StatusCode::kFailedPrecondition)
+        << "version " << version;
+    if (retried.ok()) acknowledged.push_back(version);
+  }
+  writer.Close();
+
+  StatusOr<std::vector<uint8_t>> bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  const DeltaLogContents contents = DecodeDeltaLog(*bytes);
+  std::vector<uint64_t> replayed;
+  for (const DeltaRecord& record : contents.records) {
+    replayed.push_back(record.version);
+  }
+  EXPECT_EQ(replayed, acknowledged);
+  EXPECT_EQ(contents.tail_bytes_dropped, 10u);
+
+  // Reopening clears the refusal.
+  ASSERT_TRUE(writer.Open(root + "/fresh.log").ok());
+  EXPECT_TRUE(writer.Append(4, MakeDelta(4)).ok());
 }
 
 // --- CatalogStore ---------------------------------------------------------

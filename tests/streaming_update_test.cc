@@ -32,7 +32,7 @@
 #include "tests/paper_fixtures.h"
 #include "truss/decomposition.h"
 #include "truss/incremental.h"
-#include "truss/parallel_peel.h"
+#include "truss/flat_peel.h"
 #include "util/env.h"
 #include "util/parallel_for.h"
 #include "util/prng.h"
