@@ -573,8 +573,7 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
     // the same engine configuration.
     job.batch_key = solver_name + "|" +
                     std::to_string(reinterpret_cast<uintptr_t>(version.get())) +
-                    "|i" + (options.use_incremental ? "1" : "0") + "|t" +
-                    std::to_string(options.threads);
+                    "|t" + std::to_string(options.threads);
   }
   job.payload = state;
 
@@ -756,7 +755,6 @@ void AtrService::RunFusedGreedy(
 
   SolverOptions fused;
   fused.budget = max_budget;
-  fused.use_incremental = live.front()->options.use_incremental;
   fused.threads = live.front()->options.threads;
   // The batch's native cancel granularity: after each round, members that
   // already have their budget covered record progress, and the walk stops

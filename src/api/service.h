@@ -35,14 +35,14 @@
 // round-robin so a flooding tenant cannot starve a light one.
 //
 // Batch fusion: compatible queued jobs — same graph version, same solver
-// (greedy family or exact), same use_incremental/threads, and no
-// caller-owned progress/cancel/wall-clock hooks — coalesce into one
-// solver run. One greedy walk at the max budget serves every member as a
-// prefix; one exact enumeration per distinct checkpoint budget serves all
-// members' sweeps. Each member's SolveResult is carved out exactly as if
-// it had run alone (the scheduler differential tests assert
-// byte-identity), and decomposition_builds still moves at most once per
-// graph version.
+// (greedy family or exact), same threads, and no caller-owned
+// progress/cancel/wall-clock hooks — coalesce into one solver run; their
+// batch-fusion key is "<solver>|<version address>|t<threads>". One greedy
+// walk at the max budget serves every member as a prefix; one exact
+// enumeration per distinct checkpoint budget serves all members' sweeps.
+// Each member's SolveResult is carved out exactly as if it had run alone
+// (the scheduler differential tests assert byte-identity), and
+// decomposition_builds still moves at most once per graph version.
 //
 // Mutations never touch served snapshots: CheckoutSession hands out a
 // private AtrEngine primed with the shared snapshot; its first committed

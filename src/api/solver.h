@@ -78,12 +78,6 @@ struct SolverOptions {
   // never depend on this setting); 0 keeps the process-wide default
   // (ATR_THREADS env, else hardware concurrency).
   int threads = 0;
-  // Greedy family only (base/base+/gas): maintain the truss decomposition
-  // across rounds with truss/incremental.h instead of recomputing it after
-  // every committed anchor (BASE additionally evaluates candidates by
-  // speculative apply/rollback). Results are identical to the
-  // full-recompute path; ignored by the other solvers.
-  bool use_incremental = false;
   // Called after every round/checkpoint; returning false cancels the run
   // (result is the prefix selected so far, stopped_early set).
   std::function<bool(const SolveProgress&)> progress;

@@ -102,8 +102,7 @@ class GreedySolver : public Solver {
     if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);
-    GreedyControl control = MakeRoundControl(name_, options);
-    control.use_incremental = options.use_incremental;
+    const GreedyControl control = MakeRoundControl(name_, options);
 
     // Round 1 of every greedy equals the cached decomposition — the
     // anchor-free one, or the mutable session's incrementally maintained

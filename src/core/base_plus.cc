@@ -1,6 +1,5 @@
 #include "core/base_plus.h"
 
-#include <memory>
 #include <mutex>
 
 #include "core/greedy_internal.h"
@@ -23,27 +22,12 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
   budget = std::min<uint32_t>(budget, m);
 
   WallTimer timer;
-  // Two ways to keep the shared (decomposition, anchors) state current:
-  // recompute from scratch after each commit (classic), or maintain it with
-  // the incremental engine. Candidate evaluation reads the same state
-  // either way, so the selected anchors are identical.
-  const bool use_incremental =
-      control != nullptr && control->use_incremental;
-  std::unique_ptr<IncrementalTruss> engine;
-  GreedySeedState state;
-  const TrussDecomposition* current = nullptr;
-  const std::vector<bool>* anchored = nullptr;
-  if (use_incremental) {
-    engine = std::make_unique<IncrementalTruss>(
-        MakeGreedyEngine(g, seed_decomposition, initial_anchors));
-    current = &engine->decomposition();
-    anchored = &engine->anchored();
-  } else {
-    state = MakeGreedySeedState(g, seed_decomposition, initial_anchors);
-    current = &state.current;
-    anchored = &state.anchored;
-  }
-  FollowerSearch main_search(g);
+  // The shared (decomposition, anchors) state; each committed anchor
+  // updates it locally instead of recomputing it.
+  IncrementalTruss engine =
+      MakeGreedyEngine(g, seed_decomposition, initial_anchors);
+  const TrussDecomposition& current = engine.decomposition();
+  const std::vector<bool>& anchored = engine.anchored();
 
   while (result.anchors.size() < budget) {
     if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
@@ -59,11 +43,11 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
     ParallelFor(m, [&](int64_t begin, int64_t end) {
       // Worker-local search state (epoch-stamped scratch arrays).
       FollowerSearch search(g);
-      search.SetState(current, anchored);
+      search.SetState(&current, &anchored);
       Best local;
       for (int64_t i = begin; i < end; ++i) {
         const EdgeId e = static_cast<EdgeId>(i);
-        if (!EligibleCandidate(*current, *anchored, e)) continue;
+        if (!EligibleCandidate(current, anchored, e)) continue;
         const uint64_t gain = search.CountFollowers(e);
         if (local.edge == kInvalidEdge ||
             BetterCandidate(gain, e, local.gain, local.edge)) {
@@ -86,27 +70,14 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
     AnchorRound round;
     round.anchor = best.edge;
     round.gain = static_cast<uint32_t>(best.gain);
-    if (use_incremental) {
-      std::vector<EdgeId> followers;
-      const uint32_t recount = engine->ApplyAnchor(best.edge, &followers);
-      ATR_CHECK(recount == best.gain);
-      for (const EdgeId f : followers) {
-        // Each follower rose by exactly 1; recover the pre-anchor value.
-        round.follower_trussness.push_back(current->trussness[f] - 1);
-      }
-      engine->ClearUndoLog();
-    } else {
-      std::vector<EdgeId> followers;
-      main_search.SetState(current, anchored);
-      const uint32_t recount =
-          main_search.CountFollowers(best.edge, &followers);
-      ATR_CHECK(recount == best.gain);
-      for (const EdgeId f : followers) {
-        round.follower_trussness.push_back(current->trussness[f]);
-      }
-      state.anchored[best.edge] = true;
-      state.current = RecomputeGreedyState(g, state.anchored, state.alive);
+    std::vector<EdgeId> followers;
+    const uint32_t recount = engine.ApplyAnchor(best.edge, &followers);
+    ATR_CHECK(recount == best.gain);
+    for (const EdgeId f : followers) {
+      // Each follower rose by exactly 1; recover the pre-anchor value.
+      round.follower_trussness.push_back(current.trussness[f] - 1);
     }
+    engine.ClearUndoLog();
     round.cumulative_seconds = timer.ElapsedSeconds();
     result.total_gain += best.gain;
     result.anchors.push_back(best.edge);

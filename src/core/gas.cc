@@ -1,7 +1,6 @@
 #include "core/gas.h"
 
 #include <algorithm>
-#include <memory>
 #include <mutex>
 
 #include "core/greedy_internal.h"
@@ -134,34 +133,20 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
   budget = std::min<uint32_t>(budget, m);
 
   WallTimer timer;
-  // Shared (decomposition, anchors) state: recomputed from scratch after
-  // each commit (classic), or maintained by the incremental engine. The
-  // candidate evaluation and reuse logic read the same state either way.
-  const bool use_incremental =
-      control != nullptr && control->use_incremental;
-  std::unique_ptr<IncrementalTruss> engine;
-  GreedySeedState state;
-  const TrussDecomposition* current = nullptr;
-  const std::vector<bool>* anchored_view = nullptr;
-  if (use_incremental) {
-    engine = std::make_unique<IncrementalTruss>(
-        MakeGreedyEngine(g, seed_decomposition, initial_anchors));
-    current = &engine->decomposition();
-    anchored_view = &engine->anchored();
-  } else {
-    state = MakeGreedySeedState(g, seed_decomposition, initial_anchors);
-    current = &state.current;
-    anchored_view = &state.anchored;
-  }
+  // The shared (decomposition, anchors) state, maintained locally across
+  // commits; candidate evaluation and the reuse logic read it in place.
+  IncrementalTruss engine =
+      MakeGreedyEngine(g, seed_decomposition, initial_anchors);
+  const TrussDecomposition& current = engine.decomposition();
+  const std::vector<bool>& anchored = engine.anchored();
   TrussComponentTree tree;
-  tree.Build(g, *current, *anchored_view);
+  tree.Build(g, current, anchored);
 
   std::vector<NodeCounts> caches(m);
   std::vector<uint32_t> dirty_nodes;  // sorted ES node ids for this round
   // Edges whose own (t, l) state is new this round: their seed sets and ≺
   // comparisons changed, so every cached entry is invalid. Round 1: all.
   std::vector<uint8_t> needs_full(m, 1);
-  FollowerSearch main_search(g);
 
   while (result.anchors.size() < budget) {
     if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
@@ -179,14 +164,14 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
     std::mutex mu;
     ParallelFor(m, [&](int64_t begin, int64_t end) {
       FollowerSearch search(g);
-      search.SetState(current, anchored_view);
+      search.SetState(&current, &anchored);
       std::vector<std::pair<uint32_t, uint32_t>> scratch;
       Best local;
       for (int64_t i = begin; i < end; ++i) {
         const EdgeId e = static_cast<EdgeId>(i);
-        if (!EligibleCandidate(*current, *anchored_view, e)) continue;
+        if (!EligibleCandidate(current, anchored, e)) continue;
         const CandidateOutcome outcome =
-            EvaluateCandidate(g, *current, tree, dirty_nodes,
+            EvaluateCandidate(g, current, tree, dirty_nodes,
                               needs_full[e] != 0, e, search, caches[e],
                               scratch);
         local.fr += outcome.reuse_class == 0;
@@ -223,27 +208,17 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
     round.partially_reusable = best.pr;
     round.non_reusable = best.nr;
 
-    // Followers of the chosen anchor (for follower-trussness stats and as a
-    // cross-check that the cached gain is exact).
-    std::vector<EdgeId> followers;
-    main_search.SetState(current, anchored_view);
-    const uint32_t recount = main_search.CountFollowers(x, &followers);
-    ATR_CHECK_MSG(recount == best.gain, "reused gain diverged from recount");
-    for (EdgeId f : followers) {
-      round.follower_trussness.push_back(current->trussness[f]);
-    }
-
     // sla(x) under the *old* tree: every node currently triangle-adjacent to
     // x from above. These become dirty because x turns into an
     // always-countable partner inside them (docs/DESIGN.md §4 deviation).
     std::vector<uint32_t> next_dirty;
-    const uint32_t tx = current->trussness[x];
+    const uint32_t tx = current.trussness[x];
     {
       const std::vector<uint32_t>& edge_node = tree.edge_node_ids();
       ForEachTriangleOfEdge(g, x, [&](VertexId, EdgeId e1, EdgeId e2) {
         for (const EdgeId p : {e1, e2}) {
           if (edge_node[p] == kNoTreeNode) continue;
-          if (current->trussness[p] >= tx) next_dirty.push_back(edge_node[p]);
+          if (current.trussness[p] >= tx) next_dirty.push_back(edge_node[p]);
         }
       });
       if (tree.NodeIdOf(x) != kNoTreeNode) {
@@ -251,22 +226,19 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
       }
     }
 
-    // Apply the anchor and rebuild decomposition + tree. The incremental
-    // path must copy the pre-anchor state (the engine updates in place);
-    // the classic path moves it out before recomputing.
-    TrussDecomposition previous;
+    // Apply the anchor (the engine updates in place, so keep a copy of the
+    // pre-anchor state) and rebuild the tree. The committed gain is an
+    // exact recount, so it also cross-checks the reused one.
+    const TrussDecomposition previous = current;
     const std::vector<uint32_t> previous_nodes = tree.edge_node_ids();
-    if (use_incremental) {
-      previous = *current;
-      const uint32_t committed = engine->ApplyAnchor(x);
-      ATR_CHECK(committed == best.gain);
-      engine->ClearUndoLog();
-    } else {
-      previous = std::move(state.current);
-      state.anchored[x] = true;
-      state.current = RecomputeGreedyState(g, state.anchored, state.alive);
+    std::vector<EdgeId> followers;
+    const uint32_t committed = engine.ApplyAnchor(x, &followers);
+    ATR_CHECK_MSG(committed == best.gain, "reused gain diverged from recount");
+    engine.ClearUndoLog();
+    for (const EdgeId f : followers) {
+      round.follower_trussness.push_back(previous.trussness[f]);
     }
-    tree.Build(g, *current, *anchored_view);
+    tree.Build(g, current, anchored);
 
     // ES: nodes (old and new) of every edge whose (t, l) changed — this
     // covers follower nodes, merged/renumbered nodes, and layer shifts —
@@ -276,8 +248,8 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
     const std::vector<uint32_t>& new_nodes = tree.edge_node_ids();
     for (EdgeId e = 0; e < m; ++e) {
       const bool own_changed =
-          e == x || previous.trussness[e] != current->trussness[e] ||
-          previous.layer[e] != current->layer[e];
+          e == x || previous.trussness[e] != current.trussness[e] ||
+          previous.layer[e] != current.layer[e];
       needs_full[e] = own_changed ? 1 : 0;
       if (own_changed) caches[e].clear();
       // A node whose identity changed is dirty under both ids. This covers

@@ -6,11 +6,12 @@
 //  1. every candidate edge e keeps a cache F[e][TN.I] of follower counts per
 //     subtree-adjacent tree node; only entries for "dirty" nodes (the ES set
 //     of Algorithm 5) are recomputed, the rest are reused;
-//  2. the best candidate is anchored, the decomposition and component tree
-//     are rebuilt, and the dirty-node set for the next round is derived from
-//     the edges whose (trussness, layer) changed plus the anchored edge's
-//     subtree-adjacency (a correctness-preserving superset of the paper's
-//     ES — see docs/DESIGN.md §4).
+//  2. the best candidate is anchored, the decomposition is updated locally
+//     by truss/incremental.h, the component tree is rebuilt, and the
+//     dirty-node set for the next round is derived from the edges whose
+//     (trussness, layer) changed plus the anchored edge's subtree-adjacency
+//     (a correctness-preserving superset of the paper's ES — see
+//     docs/DESIGN.md §4).
 //
 // GAS must select exactly the same anchor sequence as BASE and BASE+ (the
 // reuse is exact); the property tests enforce this.
@@ -27,15 +28,12 @@
 namespace atr {
 
 // Runs GAS with the given budget. `control` may carry a per-round progress
-// callback, a cancellation flag, a wall-clock limit, and the
-// use_incremental switch (the post-commit decomposition is then maintained
-// by truss/incremental.h instead of recomputed; the component tree is
-// still rebuilt per round). `seed_decomposition`, when non-null, must be
-// the decomposition of `g` under `initial_anchors` (no anchors when null)
-// and replaces the round-1 computation (the api layer passes its cached
-// copy); edges it reports as kTrussnessNotComputed are treated as removed.
-// `initial_anchors` edges are never candidates and gains are measured on
-// top of them.
+// callback, a cancellation flag, and a wall-clock limit.
+// `seed_decomposition`, when non-null, must be the decomposition of `g`
+// under `initial_anchors` (no anchors when null) and replaces the round-1
+// computation (the api layer passes its cached copy); edges it reports as
+// kTrussnessNotComputed are treated as removed. `initial_anchors` edges are
+// never candidates and gains are measured on top of them.
 AnchorResult RunGas(const Graph& g, uint32_t budget,
                     const GreedyControl* control = nullptr,
                     const TrussDecomposition* seed_decomposition = nullptr,

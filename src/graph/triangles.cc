@@ -1,49 +1,24 @@
 #include "graph/triangles.h"
 
-#include <algorithm>
-
 #include "util/macros.h"
 
 namespace atr {
 namespace internal {
 
 OrientedAdjacency BuildOrientedAdjacency(const Graph& g) {
+  // One linear pass: keeping only the forward entries of each vertex's
+  // neighbor-sorted adjacency leaves every out-list sorted by id.
   const uint32_t n = g.NumVertices();
-  // Orientation: u -> v iff (deg(u), u) < (deg(v), v). This bounds every
-  // out-degree by O(sqrt(m)), which is what gives the O(m^1.5) sweep.
-  auto precedes = [&g](VertexId a, VertexId b) {
-    const uint32_t da = g.Degree(a);
-    const uint32_t db = g.Degree(b);
-    return da != db ? da < db : a < b;
-  };
-
   OrientedAdjacency out;
   out.offsets.assign(n + 1, 0);
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const EdgeEndpoints ends = g.Edge(e);
-    ++out.offsets[precedes(ends.u, ends.v) ? ends.u : ends.v];
+  out.out.reserve(g.NumEdges());
+  for (VertexId u = 0; u < n; ++u) {
+    out.offsets[u] = static_cast<uint32_t>(out.out.size());
+    for (const AdjEntry& entry : g.Neighbors(u)) {
+      if (OrientedPrecedes(g, u, entry.neighbor)) out.out.push_back(entry);
+    }
   }
-  uint32_t running = 0;
-  for (uint32_t v = 0; v <= n; ++v) {
-    const uint32_t count = (v < n) ? out.offsets[v] : 0;
-    out.offsets[v] = running;
-    running += count;
-  }
-  out.out.resize(g.NumEdges());
-  std::vector<uint32_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const EdgeEndpoints ends = g.Edge(e);
-    const VertexId from = precedes(ends.u, ends.v) ? ends.u : ends.v;
-    const VertexId to = (from == ends.u) ? ends.v : ends.u;
-    out.out[cursor[from]++] = AdjEntry{to, e};
-  }
-  for (uint32_t v = 0; v < n; ++v) {
-    std::sort(out.out.begin() + out.offsets[v],
-              out.out.begin() + out.offsets[v + 1],
-              [](const AdjEntry& a, const AdjEntry& b) {
-                return a.neighbor < b.neighbor;
-              });
-  }
+  out.offsets[n] = static_cast<uint32_t>(out.out.size());
   return out;
 }
 

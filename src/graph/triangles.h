@@ -68,6 +68,15 @@ uint64_t CountTriangles(const Graph& g);
 
 namespace internal {
 
+// The orientation every triangle sweep uses (ForEachTriangle here, the flat
+// peel's FlatGraphView): u -> v iff (deg(u), u) < (deg(v), v). This bounds
+// every out-degree by O(sqrt(m)), which is what gives the O(m^1.5) sweep.
+inline bool OrientedPrecedes(const Graph& g, VertexId a, VertexId b) {
+  const uint32_t da = g.Degree(a);
+  const uint32_t db = g.Degree(b);
+  return da < db || (da == db && a < b);
+}
+
 // Degree-ordered orientation used by ForEachTriangle: for each vertex, the
 // out-neighbors are those later in the (degree, id) order, sorted by id.
 struct OrientedAdjacency {

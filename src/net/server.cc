@@ -256,6 +256,9 @@ void AtrServer::AcceptNewConnections() {
         transport_->Close(spare_fd_);
         spare_fd_ = -1;
       }
+      // Count the shed before the peer can observe it (the error frame or
+      // the close), so whoever sees the close also sees the count.
+      accept_sheds_.fetch_add(1, std::memory_order_relaxed);
       int shed_err = 0;
       const int shed = transport_->Accept(listen_fd_, &shed_err);
       if (shed >= 0) {
@@ -271,7 +274,6 @@ void AtrServer::AcceptNewConnections() {
         transport_->Close(shed);
       }
       spare_fd_ = transport_->OpenSpare();
-      accept_sheds_.fetch_add(1, std::memory_order_relaxed);
       std::fprintf(stderr,
                    "atr-server: out of file descriptors; shed one pending "
                    "connection with kResourceExhausted\n");

@@ -289,7 +289,6 @@ SolverOptions WireSolverOptions::ToSolverOptions() const {
   options.budget_checkpoints = budget_checkpoints;
   options.seed = seed;
   options.trials = trials;
-  options.use_incremental = use_incremental;
   return options;
 }
 
@@ -302,7 +301,7 @@ std::vector<uint8_t> SubmitRequest::EncodeFrame() const {
   w.WriteU32Vector(options.budget_checkpoints);
   w.WriteU64(options.seed);
   w.WriteU32(options.trials);
-  w.WriteU8(options.use_incremental ? 1 : 0);
+  w.WriteU8(0);  // reserved
   w.WriteString(tenant);
   w.WriteU32(static_cast<uint32_t>(priority));
   return FinishFrame(MsgType::kSubmit, w);
@@ -312,15 +311,16 @@ StatusOr<SubmitRequest> SubmitRequest::Decode(
     std::span<const uint8_t> payload) {
   ByteReader r(payload);
   SubmitRequest out;
-  uint8_t use_incremental = 0;
+  // The u8 after `trials` once selected a result-neutral greedy mode; it
+  // stays in the layout as a reserved byte that is read and ignored.
+  uint8_t reserved = 0;
   if (!ReadRequestId(r, &out.request_id) || !r.ReadString(&out.graph) ||
       !r.ReadString(&out.solver) || !r.ReadU32(&out.options.budget) ||
       !r.ReadU32Vector(&out.options.budget_checkpoints) ||
       !r.ReadU64(&out.options.seed) || !r.ReadU32(&out.options.trials) ||
-      !r.ReadU8(&use_incremental)) {
+      !r.ReadU8(&reserved)) {
     return DecodeError("SubmitRequest");
   }
-  out.options.use_incremental = use_incremental != 0;
   // Tenancy fields arrived in protocol revision 2; a payload that ends
   // here is a revision-1 Submit and maps to the default tenant at
   // priority 0 (docs/PROTOCOL.md, "Version compatibility").

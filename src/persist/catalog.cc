@@ -194,12 +194,7 @@ Status CatalogStore::SaveBaseSnapshot(const std::string& name,
   // The new base is durable; the log it subsumes resets to empty. A crash
   // between the two leaves stale records at or below the base version,
   // which Load() skips.
-  {
-    // Drop the open append handle before the swap.
-    MutexLock lock(&writers_mu_);
-    writers_.erase(name);
-  }
-  Status reset = WriteFileAtomic(DeltaLogPath(name), {});
+  Status reset = RewriteDeltaLog(name, {});
   if (!reset.ok()) return reset;
 
   for (const uint64_t old : SnapshotVersionsIn(GraphDir(name))) {
@@ -229,12 +224,46 @@ Status CatalogStore::AppendDelta(const std::string& name, uint64_t version,
     return Status::InvalidArgument("CatalogStore: invalid graph name \"" +
                                    name + "\"");
   }
+  bool torn = false;
+  {
+    MutexLock lock(&writers_mu_);
+    torn = torn_logs_.contains(name);
+  }
+  if (torn) {
+    Status repaired = RepairTornLog(name, version);
+    if (!repaired.ok()) return repaired;
+  }
   DeltaLogWriter* writer = Writer(name);
   if (writer == nullptr) {
     return Status::Internal("CatalogStore: cannot open delta log for \"" +
                             name + "\"");
   }
-  return writer->Append(version, delta);
+  Status appended = writer->Append(version, delta);
+  if (!appended.ok()) {
+    // The failed writer refuses every later append; drop it so the next
+    // append repairs the log and reopens it instead of failing forever.
+    MutexLock lock(&writers_mu_);
+    writers_.erase(name);
+    torn_logs_.insert(name);
+  }
+  return appended;
+}
+
+Status CatalogStore::RepairTornLog(const std::string& name, uint64_t version) {
+  StatusOr<std::vector<uint8_t>> bytes = ReadFileBytes(DeltaLogPath(name));
+  if (!bytes.ok() && bytes.status().code() != StatusCode::kNotFound) {
+    return bytes.status();
+  }
+  std::vector<DeltaRecord> intact;
+  if (bytes.ok()) {
+    // A record at or above `version` is the failed append itself (its
+    // bytes may all have landed before a failed fsync): never acknowledged.
+    for (DeltaRecord& record : DecodeDeltaLog(*bytes).records) {
+      if (record.version >= version) break;
+      intact.push_back(std::move(record));
+    }
+  }
+  return RewriteDeltaLog(name, intact);
 }
 
 Status CatalogStore::RewriteDeltaLog(const std::string& name,
@@ -246,10 +275,16 @@ Status CatalogStore::RewriteDeltaLog(const std::string& name,
     bytes.insert(bytes.end(), one.begin(), one.end());
   }
   {
+    // Drop the open append handle before the swap.
     MutexLock lock(&writers_mu_);
     writers_.erase(name);
   }
-  return WriteFileAtomic(DeltaLogPath(name), bytes);
+  Status wrote = WriteFileAtomic(DeltaLogPath(name), bytes);
+  if (wrote.ok()) {
+    MutexLock lock(&writers_mu_);
+    torn_logs_.erase(name);
+  }
+  return wrote;
 }
 
 // --- PersistentCatalog ----------------------------------------------------

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -101,12 +102,15 @@ class CatalogStore {
                           const Graph& graph,
                           const TrussDecomposition& decomposition);
 
-  // Appends one delta record durably (fsync before returning).
+  // Appends one delta record durably (fsync before returning). A failed
+  // append may leave a torn record behind, so it drops the graph's writer;
+  // the next append first rewrites the log to its intact records below
+  // its own version (the failed one was never acknowledged).
   Status AppendDelta(const std::string& name, uint64_t version,
                      const GraphDelta& delta);
 
   // Rewrites `name`'s delta log to exactly `records` (used to truncate a
-  // torn tail discovered during Load).
+  // torn tail discovered during Load or left by a failed append).
   Status RewriteDeltaLog(const std::string& name,
                          const std::vector<DeltaRecord>& records);
 
@@ -115,6 +119,8 @@ class CatalogStore {
   std::string SnapshotPath(const std::string& name, uint64_t version) const;
   std::string DeltaLogPath(const std::string& name) const;
   DeltaLogWriter* Writer(const std::string& name);
+  // Rewrites the log to its intact records with versions below `version`.
+  Status RepairTornLog(const std::string& name, uint64_t version);
 
   std::string root_;
   // Guards the writers_ MAP (lookup / insert / erase), not the writers:
@@ -123,6 +129,9 @@ class CatalogStore {
   Mutex writers_mu_;
   std::map<std::string, std::unique_ptr<DeltaLogWriter>> writers_
       ATR_GUARDED_BY(writers_mu_);
+  // Graphs whose last append failed; their log is repaired before the
+  // next one.
+  std::set<std::string> torn_logs_ ATR_GUARDED_BY(writers_mu_);
 };
 
 // Service glue: restore-on-open, write-ahead delta logging, compaction.

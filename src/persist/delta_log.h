@@ -68,8 +68,9 @@ DeltaLogContents DecodeDeltaLog(std::span<const uint8_t> bytes);
 // the tear). A failed fsync cannot be retried safely either: the kernel
 // may already have dropped the dirty pages. So after any failure the
 // writer refuses every later Append with kFailedPrecondition until it is
-// reopened; the owner recovers by rewriting the log (compaction) or by a
-// restart, whose replay truncates the torn tail.
+// reopened; the owner drops it and rewrites the log to its intact prefix
+// before appending again (CatalogStore::AppendDelta does this, as does a
+// restart's replay).
 class DeltaLogWriter {
  public:
   DeltaLogWriter() = default;

@@ -2,10 +2,10 @@
 // truss/decomposition.h).
 //
 // A full truss decomposition costs a whole-graph triangle sweep plus a
-// global peel; the greedy anchor solvers pay that price after every
-// committed anchor, and the edge-deletion baseline pays it once per
-// *candidate*. IncrementalTruss instead maintains the decomposition under
-// two single-edge mutations:
+// global peel; a greedy anchor solver would pay that price after every
+// committed anchor, and the edge-deletion baseline once per *candidate*.
+// IncrementalTruss (which BASE+, GAS and that baseline run on) instead
+// maintains the decomposition under two single-edge mutations:
 //
 //   * ApplyAnchor(x)  — x becomes anchored (infinite support),
 //   * RemoveEdge(x)   — x leaves the maintained subgraph,
@@ -38,8 +38,9 @@
 // which the randomized differential harness in
 // tests/incremental_truss_test.cc asserts after every operation.
 //
-// Every mutation appends to an undo log, so greedy solvers can
-// speculatively try a candidate and roll it back:
+// Every mutation appends to an undo log, so callers (the edge-deletion
+// baseline, mutable engine sessions) can speculatively try a candidate and
+// roll it back:
 //
 //   IncrementalTruss inc(graph);
 //   const IncrementalTruss::Checkpoint cp = inc.MarkRollbackPoint();
@@ -47,7 +48,7 @@
 //   inc.RollbackTo(cp);                          // state byte-identical
 //
 // Instances are single-threaded; they are copyable so per-worker clones
-// can evaluate candidates in parallel (the BASE incremental path).
+// can evaluate candidates in parallel (the edge-deletion baseline).
 
 #ifndef ATR_TRUSS_INCREMENTAL_H_
 #define ATR_TRUSS_INCREMENTAL_H_

@@ -508,59 +508,28 @@ TEST(Session, NonGreedySolversRejectMutatedSessions) {
   EXPECT_TRUE(engine.Run("base+", options).ok());
 }
 
-// --- The incremental solver path ----------------------------------------
-
-// On the paper fixture and the property graphs, the incremental path must
-// reproduce the full-recompute path exactly: same anchors, same per-round
-// gains, for BASE, BASE+, and GAS.
-class IncrementalPathEquivalence : public ::testing::TestWithParam<uint64_t> {
-};
-
-TEST_P(IncrementalPathEquivalence, MatchesFullRecomputePath) {
-  const uint64_t seed = GetParam();
-  const Graph g = seed == 0 ? MakeFig3Graph() : MakePropertyGraph(seed);
-  SolverOptions full;
-  full.budget = 3;
-  SolverOptions incremental = full;
-  incremental.use_incremental = true;
-
-  for (const char* solver : {"base", "base+", "gas"}) {
-    const SolveResult a = MustSolve(solver, g, full);
-    const SolveResult b = MustSolve(solver, g, incremental);
-    EXPECT_EQ(a.anchor_edges, b.anchor_edges)
-        << solver << " seed " << seed;
-    EXPECT_EQ(a.total_gain, b.total_gain) << solver << " seed " << seed;
-    ASSERT_EQ(a.rounds.size(), b.rounds.size()) << solver;
-    for (size_t i = 0; i < a.rounds.size(); ++i) {
-      EXPECT_EQ(a.rounds[i].gain, b.rounds[i].gain)
-          << solver << " seed " << seed << " round " << i;
+TEST(Session, BaseBasePlusGasAgreeOnMutatedSessions) {
+  // A session with a committed anchor AND a removed edge: the BASE oracle
+  // (full recompute) and BASE+/GAS (incremental engine seeded from the
+  // session's state) must solve the same residual problem.
+  AtrEngine engine(MakeFig3Graph());
+  const Graph& g = engine.graph();
+  ASSERT_TRUE(engine.ApplyAnchor(Fig3Edge(g, 5, 8)).ok());
+  ASSERT_TRUE(engine.RemoveEdge(Fig3Edge(g, 9, 10)).ok());
+  SolverOptions options;
+  options.budget = 2;
+  StatusOr<SolveResult> base = engine.Run("base", options);
+  ASSERT_TRUE(base.ok()) << base.status().message();
+  for (const char* solver : {"base+", "gas"}) {
+    StatusOr<SolveResult> result = engine.Run(solver, options);
+    ASSERT_TRUE(result.ok()) << solver << ": " << result.status().message();
+    EXPECT_EQ(result->anchor_edges, base->anchor_edges) << solver;
+    EXPECT_EQ(result->total_gain, base->total_gain) << solver;
+    ASSERT_EQ(result->rounds.size(), base->rounds.size()) << solver;
+    for (size_t i = 0; i < base->rounds.size(); ++i) {
+      EXPECT_EQ(result->rounds[i].gain, base->rounds[i].gain)
+          << solver << " round " << i;
     }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalPathEquivalence,
-                         ::testing::Range<uint64_t>(0, 6));
-
-TEST(Session, IncrementalAndFullPathsAgreeOnMutatedSessions) {
-  // A session with a committed anchor AND a removed edge, solved both
-  // ways: the residual problems must line up.
-  for (const char* solver : {"base", "base+", "gas"}) {
-    SolveResult results[2];
-    for (int mode = 0; mode < 2; ++mode) {
-      AtrEngine engine(MakeFig3Graph());
-      const Graph& g = engine.graph();
-      ASSERT_TRUE(engine.ApplyAnchor(Fig3Edge(g, 5, 8)).ok());
-      ASSERT_TRUE(engine.RemoveEdge(Fig3Edge(g, 9, 10)).ok());
-      SolverOptions options;
-      options.budget = 2;
-      options.use_incremental = mode == 1;
-      StatusOr<SolveResult> result = engine.Run(solver, options);
-      ASSERT_TRUE(result.ok()) << solver << ": "
-                               << result.status().message();
-      results[mode] = *std::move(result);
-    }
-    EXPECT_EQ(results[0].anchor_edges, results[1].anchor_edges) << solver;
-    EXPECT_EQ(results[0].total_gain, results[1].total_gain) << solver;
   }
 }
 
@@ -584,11 +553,27 @@ TEST_P(RegistryEquivalenceProperty, BaseBasePlusGasAgreeThroughRegistry) {
   EXPECT_EQ(base.anchor_edges, gas.anchor_edges) << "seed " << seed;
   EXPECT_EQ(base.total_gain, plus.total_gain) << "seed " << seed;
   EXPECT_EQ(base.total_gain, gas.total_gain) << "seed " << seed;
+  ASSERT_EQ(base.rounds.size(), plus.rounds.size());
   ASSERT_EQ(base.rounds.size(), gas.rounds.size());
+  // Per round: the same gain, and the same multiset of pre-anchor follower
+  // trussness (Fig. 11(b)'s data; BASE reads it off a recomputed
+  // decomposition, BASE+/GAS off the incremental engine's commit).
+  const auto sorted_followers = [](const AnchorRound& round) {
+    std::vector<uint32_t> t = round.follower_trussness;
+    std::sort(t.begin(), t.end());
+    return t;
+  };
   for (size_t i = 0; i < base.rounds.size(); ++i) {
     EXPECT_EQ(base.rounds[i].gain, plus.rounds[i].gain)
         << "seed " << seed << " round " << i;
     EXPECT_EQ(base.rounds[i].gain, gas.rounds[i].gain)
+        << "seed " << seed << " round " << i;
+    const std::vector<uint32_t> expected = sorted_followers(base.rounds[i]);
+    EXPECT_EQ(expected.size(), base.rounds[i].gain)
+        << "seed " << seed << " round " << i;
+    EXPECT_EQ(sorted_followers(plus.rounds[i]), expected)
+        << "seed " << seed << " round " << i;
+    EXPECT_EQ(sorted_followers(gas.rounds[i]), expected)
         << "seed " << seed << " round " << i;
   }
 }

@@ -57,6 +57,20 @@ std::vector<uint8_t> PayloadOf(const std::vector<uint8_t>& frame,
   return std::move(next->payload);
 }
 
+// The Submit payload of `request` with its reserved u8 (the byte after
+// `trials`) set to `reserved`. The encoder always writes it as 0.
+std::vector<uint8_t> SubmitPayloadWithReserved(const SubmitRequest& request,
+                                               uint8_t reserved) {
+  std::vector<uint8_t> payload =
+      PayloadOf(request.EncodeFrame(), MsgType::kSubmit);
+  // Behind the byte: the revision-2 trailer (u32-prefixed tenant, u32
+  // priority).
+  const size_t at = payload.size() - 8 - request.tenant.size() - 1;
+  EXPECT_EQ(payload[at], 0) << "encoder must write the reserved byte as 0";
+  payload[at] = reserved;
+  return payload;
+}
+
 TEST(WireCodec, SubmitRequestRoundTrips) {
   SubmitRequest request;
   request.request_id = 42;
@@ -66,21 +80,26 @@ TEST(WireCodec, SubmitRequestRoundTrips) {
   request.options.budget_checkpoints = {2, 5, 7};
   request.options.seed = 99;
   request.options.trials = 17;
-  request.options.use_incremental = true;
 
-  StatusOr<SubmitRequest> decoded =
-      SubmitRequest::Decode(PayloadOf(request.EncodeFrame(), MsgType::kSubmit));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-  EXPECT_EQ(decoded->request_id, 42u);
-  EXPECT_EQ(decoded->graph, "social");
-  EXPECT_EQ(decoded->solver, "gas");
-  EXPECT_EQ(decoded->options.budget, 7u);
-  EXPECT_EQ(decoded->options.budget_checkpoints, (std::vector<uint32_t>{2, 5, 7}));
-  EXPECT_EQ(decoded->options.seed, 99u);
-  EXPECT_EQ(decoded->options.trials, 17u);
-  EXPECT_TRUE(decoded->options.use_incremental);
-  EXPECT_EQ(decoded->tenant, "");
-  EXPECT_EQ(decoded->priority, 0);
+  // The reserved byte is read and ignored: 0 and 1 decode alike, and
+  // re-encoding writes 0 again.
+  for (const uint8_t reserved : {0, 1}) {
+    StatusOr<SubmitRequest> decoded =
+        SubmitRequest::Decode(SubmitPayloadWithReserved(request, reserved));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    EXPECT_EQ(decoded->request_id, 42u);
+    EXPECT_EQ(decoded->graph, "social");
+    EXPECT_EQ(decoded->solver, "gas");
+    EXPECT_EQ(decoded->options.budget, 7u);
+    EXPECT_EQ(decoded->options.budget_checkpoints,
+              (std::vector<uint32_t>{2, 5, 7}));
+    EXPECT_EQ(decoded->options.seed, 99u);
+    EXPECT_EQ(decoded->options.trials, 17u);
+    EXPECT_EQ(decoded->tenant, "");
+    EXPECT_EQ(decoded->priority, 0);
+    EXPECT_EQ(decoded->EncodeFrame(), request.EncodeFrame())
+        << "reserved " << int(reserved);
+  }
 }
 
 TEST(WireCodec, SubmitRequestCarriesTenantAndPriority) {
@@ -99,13 +118,14 @@ TEST(WireCodec, SubmitRequestCarriesTenantAndPriority) {
   EXPECT_EQ(decoded->priority, -3);
 }
 
-// A revision-3 Submit payload: the revision-2 payload of `request` plus
-// the 10-byte decomposition-plan trailer (u8 algorithm id, u32 chunk size,
-// u32 fan-out cutoff, u8 prefilter) that revision 3 appended.
+// A revision-3 Submit payload: the revision-2 payload of `request` (with
+// its reserved byte set to `reserved`) plus the 10-byte decomposition-plan
+// trailer (u8 algorithm id, u32 chunk size, u32 fan-out cutoff, u8
+// prefilter) that revision 3 appended.
 std::vector<uint8_t> Revision3SubmitPayload(const SubmitRequest& request,
-                                            uint8_t algorithm) {
-  std::vector<uint8_t> payload =
-      PayloadOf(request.EncodeFrame(), MsgType::kSubmit);
+                                            uint8_t algorithm,
+                                            uint8_t reserved = 0) {
+  std::vector<uint8_t> payload = SubmitPayloadWithReserved(request, reserved);
   ByteWriter trailer;
   trailer.WriteU8(algorithm);
   trailer.WriteU32(512);
@@ -705,9 +725,11 @@ std::vector<uint8_t> ResultBytes(WireSolveResult result) {
   return response.EncodeFrame();
 }
 
-TEST(ServerIntegration, Revision3SubmitOverTcpMatchesRevision2) {
-  // A revision-3 client's plan trailer is accepted and ignored: each
-  // algorithm id solves to exactly the result of the trailer-less submit.
+TEST(ServerIntegration, IgnoredSubmitFieldsOverTcpChangeNoResult) {
+  // A revision-3 client's plan trailer and the reserved byte (which an
+  // older client set to 1 to ask for the since-removed incremental greedy
+  // mode) are accepted and ignored: every combination solves to exactly
+  // the result of a plain submit.
   ServerFixture fixture;
   ASSERT_TRUE(fixture.server().AddGraph("social", ServedGraph()).ok());
   AtrClient client = fixture.MakeClient();
@@ -721,33 +743,41 @@ TEST(ServerIntegration, Revision3SubmitOverTcpMatchesRevision2) {
 
   const int fd = RawConnect(fixture.server().port());
   FrameParser parser;
-  for (const uint8_t algorithm : {0, 1, 2}) {
-    SubmitRequest request;
-    request.request_id = 100 + algorithm;
-    request.graph = "social";
-    request.solver = "gas";
-    request.options = options;
-    const std::vector<uint8_t> frame = EncodeFrame(
-        MsgType::kSubmit, Revision3SubmitPayload(request, algorithm));
-    ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(frame.size()));
-    std::optional<Frame> reply;
-    while (!(reply = parser.Next()).has_value()) {
-      uint8_t buffer[256];
-      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-      ASSERT_GT(n, 0) << "algorithm id " << int(algorithm);
-      parser.Feed(buffer, static_cast<size_t>(n));
-    }
-    ASSERT_EQ(reply->type, MsgType::kSubmitResponse)
-        << "algorithm id " << int(algorithm);
-    StatusOr<SubmitResponse> submitted = SubmitResponse::Decode(reply->payload);
-    ASSERT_TRUE(submitted.ok());
-    EXPECT_EQ(submitted->request_id, request.request_id);
+  uint64_t request_id = 100;
+  for (const uint8_t reserved : {0, 1}) {
+    for (const int algorithm : {-1, 0, 1, 2}) {  // -1: no trailer
+      SCOPED_TRACE(testing::Message() << "reserved " << int(reserved)
+                                      << ", algorithm id " << algorithm);
+      SubmitRequest request;
+      request.request_id = ++request_id;
+      request.graph = "social";
+      request.solver = "gas";
+      request.options = options;
+      const std::vector<uint8_t> frame = EncodeFrame(
+          MsgType::kSubmit,
+          algorithm < 0 ? SubmitPayloadWithReserved(request, reserved)
+                        : Revision3SubmitPayload(
+                              request, static_cast<uint8_t>(algorithm),
+                              reserved));
+      ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(frame.size()));
+      std::optional<Frame> reply;
+      while (!(reply = parser.Next()).has_value()) {
+        uint8_t buffer[256];
+        const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+        ASSERT_GT(n, 0);
+        parser.Feed(buffer, static_cast<size_t>(n));
+      }
+      ASSERT_EQ(reply->type, MsgType::kSubmitResponse);
+      StatusOr<SubmitResponse> submitted =
+          SubmitResponse::Decode(reply->payload);
+      ASSERT_TRUE(submitted.ok());
+      EXPECT_EQ(submitted->request_id, request.request_id);
 
-    StatusOr<WireSolveResult> result = client.Wait(submitted->job_id);
-    ASSERT_TRUE(result.ok()) << "algorithm id " << int(algorithm);
-    EXPECT_EQ(ResultBytes(*result), ResultBytes(*plain_result))
-        << "algorithm id " << int(algorithm);
+      StatusOr<WireSolveResult> result = client.Wait(submitted->job_id);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(ResultBytes(*result), ResultBytes(*plain_result));
+    }
   }
   ::close(fd);
 }

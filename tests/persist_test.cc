@@ -520,6 +520,69 @@ TEST(PersistentCatalog, TruncatesTornLogTailOnRestore) {
   }
 }
 
+TEST(PersistentCatalog, UpdatesResumeAfterATornAppend) {
+  // One UpdateGraph fails mid-append (a transient EFBIG). Once the cause
+  // is gone, the next UpdateGraph must succeed without a Compact, and a
+  // restart must restore every acknowledged version.
+  const std::string root = FreshRoot("catalog_torn_append");
+  const std::string log_path = root + "/g/deltas.log";
+  TrussDecomposition before;
+  {
+    AtrService service;
+    PersistentCatalog catalog(service,
+                              {.root_dir = root, .compact_threshold = 0});
+    ASSERT_TRUE(catalog.Open().ok());
+    ASSERT_TRUE(catalog.AddGraph("g", SmallGraph()).ok());
+    GraphDelta first;
+    first.add = {{0, 25}};
+    ASSERT_TRUE(catalog.UpdateGraph("g", first).ok());
+    StatusOr<std::vector<uint8_t>> log = ReadFileBytes(log_path);
+    ASSERT_TRUE(log.ok());
+
+    // Cap the file size so the next record tears 10 bytes in. SIGXFSZ is
+    // ignored so the write fails with EFBIG instead of killing the
+    // process; both are restored right after.
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    struct sigaction old_action {};
+    ASSERT_EQ(::sigaction(SIGXFSZ, &ignore, &old_action), 0);
+    struct rlimit old_limit {};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+    struct rlimit capped = old_limit;
+    capped.rlim_cur = log->size() + 10;
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    GraphDelta second;
+    second.add = {{1, 30}};
+    const StatusOr<GraphSnapshot> failed = catalog.UpdateGraph("g", second);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+    ASSERT_EQ(::sigaction(SIGXFSZ, &old_action, nullptr), 0);
+    ASSERT_FALSE(failed.ok());
+
+    // No Compact in between: the retry and one more update go through.
+    StatusOr<GraphSnapshot> retried = catalog.UpdateGraph("g", second);
+    ASSERT_TRUE(retried.ok()) << retried.status().message();
+    EXPECT_EQ(retried->version, 3u);
+    GraphDelta third;
+    third.add = {{2, 35}};
+    StatusOr<GraphSnapshot> next = catalog.UpdateGraph("g", third);
+    ASSERT_TRUE(next.ok()) << next.status().message();
+    EXPECT_EQ(next->version, 4u);
+    before = ServedDecomposition(service, "g");
+  }
+  {
+    AtrService service;
+    PersistentCatalog catalog(service,
+                              {.root_dir = root, .compact_threshold = 0});
+    ASSERT_TRUE(catalog.Open().ok());
+    EXPECT_EQ(catalog.restore_stats().deltas_replayed, 3u);
+    EXPECT_EQ(catalog.restore_stats().torn_tails_truncated, 0u);
+    StatusOr<AtrService::GraphInfo> info = service.Info("g");
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->version, 4u);
+    ExpectSameDecomposition(ServedDecomposition(service, "g"), before);
+  }
+}
+
 TEST(PersistentCatalog, CorruptGraphIsSkippedNotFatal) {
   const std::string root = FreshRoot("catalog_skip");
   {

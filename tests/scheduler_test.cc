@@ -456,7 +456,6 @@ std::vector<JobSpec> AllSolverSpecs() {
   {
     SolverOptions o;
     o.budget = 2;
-    o.use_incremental = true;
     specs.push_back({"base", o});
   }
   {
