@@ -1,4 +1,4 @@
-// String-keyed factory for the unified solvers (api/solver.h).
+// Name lookup for the unified solvers (api/solver.h).
 //
 // Built-in names:
 //   "base"    — greedy with brute-force gain computation (Algorithm 2)
@@ -11,22 +11,13 @@
 //   "akt:<k>" — AKT vertex anchoring at level k (Zhang et al., ICDE 2018),
 //               e.g. "akt:5"; k must be an integer >= 3
 //
-// Additional solvers can be registered at runtime (Register /
-// RegisterPrefix); names are case-sensitive and registration of a taken
-// name replaces the previous factory.
-//
-// Thread-safety: all four entry points may be called concurrently from any
-// thread. The registry state is mutex-protected and the builtin set is
-// installed through std::call_once on first lookup, so concurrent
-// first-touch Create calls each see the full builtin table
-// (tests/api_test.cc, Registry.ConcurrentCreateAndRegisterAreSafe).
-// Factories themselves run outside the lock and must be thread-safe if
-// shared.
+// The set is fixed at compile time (the table lives in api/solvers.cc);
+// names are case-sensitive. Both entry points read only constant data and
+// may be called concurrently from any thread.
 
 #ifndef ATR_API_REGISTRY_H_
 #define ATR_API_REGISTRY_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,24 +29,14 @@ namespace atr {
 
 class SolverRegistry {
  public:
-  // Receives the full requested name (so prefix factories can parse their
-  // parameter, e.g. the k of "akt:5").
-  using Factory =
-      std::function<StatusOr<std::unique_ptr<Solver>>(const std::string&)>;
-
-  // Creates the solver registered under `name`. Exact-name matches win;
-  // otherwise the longest matching registered prefix handles the name.
-  // Unknown names return NotFound listing the known solvers; malformed
-  // parameterized names (e.g. "akt:x") return InvalidArgument.
+  // Creates the built-in solver named `name`. Unknown names return
+  // NotFound listing the known solvers; malformed parameterized names
+  // (e.g. "akt:x") return InvalidArgument.
   static StatusOr<std::unique_ptr<Solver>> Create(const std::string& name);
 
-  // The registered names, sorted; prefix entries are listed with a
-  // "<k>"-style placeholder (e.g. "akt:<k>").
+  // The built-in names, sorted; the parameterized entry is listed as
+  // "akt:<k>".
   static std::vector<std::string> KnownSolvers();
-
-  // Registers `factory` under an exact name / a name prefix.
-  static void Register(const std::string& name, Factory factory);
-  static void RegisterPrefix(const std::string& prefix, Factory factory);
 };
 
 }  // namespace atr

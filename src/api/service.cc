@@ -630,19 +630,6 @@ void AtrService::Drain() {
   for (const auto& shard : shards_) shard->scheduler->WaitIdle();
 }
 
-StatusOr<std::unique_ptr<AtrEngine>> AtrService::CheckoutSession(
-    const std::string& graph_name) {
-  std::shared_ptr<CatalogEntry> entry = FindEntry(graph_name);
-  if (entry == nullptr) {
-    return Status::NotFound("CheckoutSession: unknown graph \"" + graph_name +
-                            "\"");
-  }
-  std::shared_ptr<GraphVersion> version = entry->Current();
-  GraphSnapshot snapshot = SnapshotOf(*entry, *version);
-  return std::make_unique<AtrEngine>(std::move(snapshot.graph),
-                                     std::move(snapshot.decomposition));
-}
-
 void AtrService::RunBatch(std::vector<FairScheduler::Job> batch) {
   if (batch.size() == 1) {
     RunJob(std::static_pointer_cast<internal::JobState>(batch[0].payload));

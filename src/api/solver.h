@@ -144,33 +144,12 @@ class SolverContext {
   // max_trussness of Decomposition() (builds it when needed).
   uint32_t MaxTrussness();
 
-  // Shared handle to the cached decomposition (builds it when needed).
-  // Stays valid after the context is destroyed.
-  SharedTrussDecomposition SharedDecomposition();
-
-  // Whether the cache already holds a decomposition (primed or built) —
-  // probes that must not trigger the lazy build branch on this first.
-  bool HasCachedDecomposition() const { return decomposition_ != nullptr; }
-
   // Seeds the cache with a precomputed anchor-free decomposition of the
   // graph; later Decomposition() calls count as reuses, not builds. The
   // shared overload adopts an existing immutable snapshot without copying
   // — the per-job fork path.
   void PrimeDecomposition(TrussDecomposition decomposition);
   void PrimeDecomposition(SharedTrussDecomposition decomposition);
-
-  // Binds a mutable session (api/engine.h): `decomposition` and `anchors`
-  // are the engine's incrementally maintained state and must outlive the
-  // binding. While bound, Decomposition() serves the session decomposition
-  // (still counted as reuses — it is the same cached state, updated in
-  // place) and session_anchors() exposes the committed anchor mask that
-  // greedy solvers start from. Pass nullptrs to unbind.
-  void BindSession(const TrussDecomposition* decomposition,
-                   const std::vector<bool>* anchors);
-  bool has_session() const { return session_decomposition_ != nullptr; }
-  // Committed anchors of the bound session; nullptr when no session is
-  // bound (solvers then start from an anchor-free graph).
-  const std::vector<bool>* session_anchors() const { return session_anchors_; }
 
   // Cache instrumentation: how many times the decomposition was computed
   // (at most 1) vs. served from cache.
@@ -180,8 +159,6 @@ class SolverContext {
  private:
   const Graph* graph_;
   SharedTrussDecomposition decomposition_;
-  const TrussDecomposition* session_decomposition_ = nullptr;
-  const std::vector<bool>* session_anchors_ = nullptr;
   uint32_t decomposition_builds_ = 0;
   uint32_t decomposition_reuses_ = 0;
 };

@@ -1,11 +1,11 @@
 // Built-in solver adapters: every legacy entry point (RunBaseGreedy,
 // RunBasePlus, RunGas, RunExact, RunRandomBaseline, RunAkt) wrapped behind
-// the unified Solver interface and registered with SolverRegistry.
+// the unified Solver interface, and the fixed name table SolverRegistry
+// resolves against.
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,20 +26,6 @@ namespace {
 bool CancelRequested(const SolverOptions& options) {
   return options.cancel != nullptr &&
          options.cancel->load(std::memory_order_relaxed);
-}
-
-// The greedy family starts from a mutable session's committed anchors; the
-// other solvers have no notion of pre-existing anchors or removed edges and
-// would silently solve the wrong problem.
-Status RejectMutatedSession(const SolverContext& context,
-                            const std::string& name) {
-  if (context.has_session()) {
-    return Status::FailedPrecondition(
-        name +
-        ": engine sessions with committed mutations are only supported by "
-        "the greedy solvers (base, base+, gas)");
-  }
-  return Status::Ok();
 }
 
 // Wires SolverOptions into the core GreedyControl: cancel flag and
@@ -104,24 +90,19 @@ class GreedySolver : public Solver {
     ScopedParallelism parallelism(options.threads);
     const GreedyControl control = MakeRoundControl(name_, options);
 
-    // Round 1 of every greedy equals the cached decomposition — the
-    // anchor-free one, or the mutable session's incrementally maintained
-    // state, whose committed anchors the run then builds on.
+    // Round 1 of every greedy equals the cached anchor-free decomposition.
     const TrussDecomposition& seed = context.Decomposition();
-    const std::vector<bool>* initial_anchors = context.session_anchors();
     WallTimer timer;
     AnchorResult run;
     switch (kind_) {
       case Kind::kBase:
-        run = RunBaseGreedy(g, options.budget, &control, &seed,
-                            initial_anchors);
+        run = RunBaseGreedy(g, options.budget, &control, &seed);
         break;
       case Kind::kBasePlus:
-        run = RunBasePlus(g, options.budget, &control, &seed,
-                          initial_anchors);
+        run = RunBasePlus(g, options.budget, &control, &seed);
         break;
       case Kind::kGas:
-        run = RunGas(g, options.budget, &control, &seed, initial_anchors);
+        run = RunGas(g, options.budget, &control, &seed);
         break;
     }
 
@@ -160,8 +141,6 @@ class ExactSolver : public Solver {
                               const SolverOptions& options) const override {
     const Graph& g = context.graph();
     Status status = ValidateSolverOptions(g, options);
-    if (!status.ok()) return status;
-    status = RejectMutatedSession(context, Name());
     if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);
@@ -215,8 +194,6 @@ class RandomSolver : public Solver {
     const Graph& g = context.graph();
     Status status = ValidateSolverOptions(g, options);
     if (!status.ok()) return status;
-    status = RejectMutatedSession(context, name_);
-    if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);
     // Trials are not rounds: only the cancel flag and wall-clock limit
@@ -268,8 +245,6 @@ class AktSolver : public Solver {
     const Graph& g = context.graph();
     Status status = ValidateVertexSolverOptions(g, options);
     if (!status.ok()) return status;
-    status = RejectMutatedSession(context, Name());
-    if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);
     const GreedyControl control = MakeRoundControl(Name(), options);
@@ -297,9 +272,11 @@ class AktSolver : public Solver {
   uint32_t k_;
 };
 
+constexpr char kAktPrefix[] = "akt:";
+
 StatusOr<std::unique_ptr<Solver>> MakeAktSolver(const std::string& name) {
   // name is "akt:<k>"; the prefix match guarantees the "akt:" head.
-  const std::string param = name.substr(4);
+  const std::string param = name.substr(sizeof(kAktPrefix) - 1);
   if (param.empty() ||
       param.find_first_not_of("0123456789") != std::string::npos) {
     return Status::InvalidArgument(
@@ -322,43 +299,64 @@ StatusOr<std::unique_ptr<Solver>> MakeAktSolver(const std::string& name) {
       std::make_unique<AktSolver>(static_cast<uint32_t>(k)));
 }
 
+// The built-in solver table: exact names, plus "akt:<k>" parsed by
+// MakeAktSolver.
+struct BuiltinSolver {
+  const char* name;
+  std::unique_ptr<Solver> (*make)(const char* name);
+};
+
+template <GreedySolver::Kind kKind>
+std::unique_ptr<Solver> MakeGreedySolver(const char* name) {
+  return std::make_unique<GreedySolver>(name, kKind);
+}
+
+template <RandomPoolKind kKind>
+std::unique_ptr<Solver> MakeRandomSolver(const char* name) {
+  return std::make_unique<RandomSolver>(name, kKind);
+}
+
+std::unique_ptr<Solver> MakeExactSolver(const char*) {
+  return std::make_unique<ExactSolver>();
+}
+
+constexpr BuiltinSolver kBuiltinSolvers[] = {
+    {"base", MakeGreedySolver<GreedySolver::Kind::kBase>},
+    {"base+", MakeGreedySolver<GreedySolver::Kind::kBasePlus>},
+    {"gas", MakeGreedySolver<GreedySolver::Kind::kGas>},
+    {"exact", MakeExactSolver},
+    {"rand", MakeRandomSolver<RandomPoolKind::kAllEdges>},
+    {"sup", MakeRandomSolver<RandomPoolKind::kTopSupport>},
+    {"tur", MakeRandomSolver<RandomPoolKind::kTopRouteSize>},
+};
+
 }  // namespace
 
-void EnsureBuiltinSolversRegistered() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    auto greedy = [](const char* name, GreedySolver::Kind kind) {
-      SolverRegistry::Register(
-          name, [name, kind](const std::string&)
-                    -> StatusOr<std::unique_ptr<Solver>> {
-            return std::unique_ptr<Solver>(
-                std::make_unique<GreedySolver>(name, kind));
-          });
-    };
-    greedy("base", GreedySolver::Kind::kBase);
-    greedy("base+", GreedySolver::Kind::kBasePlus);
-    greedy("gas", GreedySolver::Kind::kGas);
+StatusOr<std::unique_ptr<Solver>> SolverRegistry::Create(
+    const std::string& name) {
+  for (const BuiltinSolver& builtin : kBuiltinSolvers) {
+    if (name == builtin.name) return builtin.make(builtin.name);
+  }
+  if (name.compare(0, sizeof(kAktPrefix) - 1, kAktPrefix) == 0) {
+    return MakeAktSolver(name);
+  }
+  std::string known;
+  for (const std::string& s : KnownSolvers()) {
+    if (!known.empty()) known += ", ";
+    known += s;
+  }
+  return Status::NotFound("unknown solver \"" + name + "\" (known: " + known +
+                          ")");
+}
 
-    SolverRegistry::Register(
-        "exact",
-        [](const std::string&) -> StatusOr<std::unique_ptr<Solver>> {
-          return std::unique_ptr<Solver>(std::make_unique<ExactSolver>());
-        });
-
-    auto random = [](const char* name, RandomPoolKind kind) {
-      SolverRegistry::Register(
-          name, [name, kind](const std::string&)
-                    -> StatusOr<std::unique_ptr<Solver>> {
-            return std::unique_ptr<Solver>(
-                std::make_unique<RandomSolver>(name, kind));
-          });
-    };
-    random("rand", RandomPoolKind::kAllEdges);
-    random("sup", RandomPoolKind::kTopSupport);
-    random("tur", RandomPoolKind::kTopRouteSize);
-
-    SolverRegistry::RegisterPrefix("akt:", MakeAktSolver);
-  });
+std::vector<std::string> SolverRegistry::KnownSolvers() {
+  std::vector<std::string> names;
+  for (const BuiltinSolver& builtin : kBuiltinSolvers) {
+    names.push_back(builtin.name);
+  }
+  names.push_back(std::string(kAktPrefix) + "<k>");
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 }  // namespace atr

@@ -14,8 +14,7 @@ namespace atr {
 
 AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
                          const GreedyControl* control,
-                         const TrussDecomposition* seed_decomposition,
-                         const std::vector<bool>* initial_anchors) {
+                         const TrussDecomposition* seed_decomposition) {
   const uint32_t m = g.NumEdges();
   AnchorResult result;
   if (m == 0) return result;
@@ -25,7 +24,7 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
   // The shared (decomposition, anchors) state; each committed anchor
   // updates it locally instead of recomputing it.
   IncrementalTruss engine =
-      MakeGreedyEngine(g, seed_decomposition, initial_anchors);
+      MakeGreedyEngine(g, seed_decomposition);
   const TrussDecomposition& current = engine.decomposition();
   const std::vector<bool>& anchored = engine.anchored();
 

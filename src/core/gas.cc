@@ -125,8 +125,7 @@ CandidateOutcome EvaluateCandidate(
 
 AnchorResult RunGas(const Graph& g, uint32_t budget,
                     const GreedyControl* control,
-                    const TrussDecomposition* seed_decomposition,
-                    const std::vector<bool>* initial_anchors) {
+                    const TrussDecomposition* seed_decomposition) {
   const uint32_t m = g.NumEdges();
   AnchorResult result;
   if (m == 0) return result;
@@ -136,7 +135,7 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
   // The shared (decomposition, anchors) state, maintained locally across
   // commits; candidate evaluation and the reuse logic read it in place.
   IncrementalTruss engine =
-      MakeGreedyEngine(g, seed_decomposition, initial_anchors);
+      MakeGreedyEngine(g, seed_decomposition);
   const TrussDecomposition& current = engine.decomposition();
   const std::vector<bool>& anchored = engine.anchored();
   TrussComponentTree tree;

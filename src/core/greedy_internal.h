@@ -1,9 +1,8 @@
 // Shared round-state plumbing of the accelerated greedy solvers (BASE+,
 // GAS): the incremental engine that keeps their (decomposition, anchors)
-// state current across rounds, seeded from an optional cached
-// decomposition and optional pre-existing anchors (the api layer's mutable
-// sessions). BASE, the reference they are tested against, keeps its own
-// full-recompute state in core/base_greedy.cc and shares only the
+// state current across rounds, seeded from an optional cached anchor-free
+// decomposition. BASE, the reference they are tested against, keeps its
+// own full-recompute state in core/base_greedy.cc and shares only the
 // candidate filter below.
 //
 // The greedy cores keep no private support state of their own: every
@@ -28,19 +27,11 @@ inline bool EligibleCandidate(const TrussDecomposition& current,
          current.trussness[e] != kTrussnessNotComputed;
 }
 
-// The round-1 engine: adopts `seed` when given (the decomposition of `g`
-// under `initial_anchors`), else decomposes `g` under `initial_anchors`.
-inline IncrementalTruss MakeGreedyEngine(
-    const Graph& g, const TrussDecomposition* seed,
-    const std::vector<bool>* initial_anchors) {
-  const std::vector<bool> no_anchors;
-  const std::vector<bool>& anchors =
-      initial_anchors != nullptr ? *initial_anchors : no_anchors;
-  if (seed != nullptr) return IncrementalTruss(g, *seed, anchors);
-  if (!anchors.empty()) {
-    return IncrementalTruss(g, ComputeTrussDecomposition(g, anchors),
-                            anchors);
-  }
+// The round-1 engine: adopts `seed` when given (the anchor-free
+// decomposition of `g`), else decomposes `g`.
+inline IncrementalTruss MakeGreedyEngine(const Graph& g,
+                                         const TrussDecomposition* seed) {
+  if (seed != nullptr) return IncrementalTruss(g, *seed);
   return IncrementalTruss(g);
 }
 

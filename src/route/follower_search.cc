@@ -160,49 +160,13 @@ void FollowerSearch::CollectSeeds(EdgeId x) {
   seeds_.erase(std::unique(seeds_.begin(), seeds_.end()), seeds_.end());
 }
 
-uint32_t FollowerSearch::CountFollowers(EdgeId x,
-                                        std::vector<EdgeId>* followers) {
+template <typename OnFollower>
+void FollowerSearch::SearchLevels(EdgeId x,
+                                  const std::vector<uint32_t>* edge_node,
+                                  const std::vector<uint32_t>* allowed_nodes,
+                                  OnFollower&& on_follower) {
   ATR_CHECK(decomp_ != nullptr);
   ATR_CHECK(x < g_.NumEdges());
-  ATR_CHECK_MSG(!IsAnchoredEdge(x), "candidate is already anchored");
-  current_anchor_ = x;
-  CollectSeeds(x);
-  // Group seeds by trussness level; each level is an independent batch.
-  std::stable_sort(seeds_.begin(), seeds_.end(), [this](EdgeId a, EdgeId b) {
-    return decomp_->trussness[a] < decomp_->trussness[b];
-  });
-  if (followers != nullptr) followers->clear();
-  uint32_t total = 0;
-  size_t i = 0;
-  while (i < seeds_.size()) {
-    const uint32_t level = decomp_->trussness[seeds_[i]];
-    ++current_epoch_;
-    heap_.clear();
-    survivors_.clear();
-    while (i < seeds_.size() && decomp_->trussness[seeds_[i]] == level) {
-      const EdgeId s = seeds_[i++];
-      if (GetStatus(s) == kUnchecked) {
-        SetStatus(s, kInHeap);
-        heap_.push_back(HeapKey(decomp_->layer[s], s));
-      }
-    }
-    ProcessLevel(level, nullptr, nullptr);
-    for (EdgeId e : survivors_) {
-      if (GetStatus(e) != kSurvived) continue;  // retracted later
-      ++total;
-      if (followers != nullptr) followers->push_back(e);
-    }
-  }
-  current_anchor_ = kInvalidEdge;
-  return total;
-}
-
-void FollowerSearch::FollowersByNode(
-    EdgeId x, const std::vector<uint32_t>& edge_node,
-    const std::vector<uint32_t>& allowed_nodes,
-    std::vector<std::pair<uint32_t, uint32_t>>* counts) {
-  ATR_CHECK(decomp_ != nullptr);
-  ATR_CHECK(edge_node.size() == g_.NumEdges());
   ATR_CHECK_MSG(!IsAnchoredEdge(x), "candidate is already anchored");
   current_anchor_ = x;
   CollectSeeds(x);
@@ -210,9 +174,7 @@ void FollowerSearch::FollowersByNode(
   // triangles can couple two same-level nodes (their edges support each
   // other through the always-countable hypothetical anchor), so same-level
   // nodes must be solved as one fixed point. Different levels stay
-  // independent. Seeds whose node is not allowed are skipped, and route
-  // expansion is confined to allowed nodes; the caller guarantees that
-  // coupled nodes are always recomputed together (level groups).
+  // independent.
   std::stable_sort(seeds_.begin(), seeds_.end(), [this](EdgeId a, EdgeId b) {
     return decomp_->trussness[a] < decomp_->trussness[b];
   });
@@ -222,41 +184,58 @@ void FollowerSearch::FollowersByNode(
     ++current_epoch_;
     heap_.clear();
     survivors_.clear();
-    bool any_seed = false;
-    while (i < seeds_.size() && decomp_->trussness[seeds_[i]] == level) {
-      const EdgeId s = seeds_[i++];
-      if (!std::binary_search(allowed_nodes.begin(), allowed_nodes.end(),
-                              edge_node[s])) {
+    // Seeds are distinct and the epoch is fresh, so each one is unchecked.
+    for (; i < seeds_.size() && decomp_->trussness[seeds_[i]] == level; ++i) {
+      const EdgeId s = seeds_[i];
+      if (allowed_nodes != nullptr &&
+          !std::binary_search(allowed_nodes->begin(), allowed_nodes->end(),
+                              (*edge_node)[s])) {
         continue;
       }
-      if (GetStatus(s) == kUnchecked) {
-        SetStatus(s, kInHeap);
-        heap_.push_back(HeapKey(decomp_->layer[s], s));
-        any_seed = true;
-      }
+      SetStatus(s, kInHeap);
+      heap_.push_back(HeapKey(decomp_->layer[s], s));
     }
-    if (!any_seed) continue;
-    ProcessLevel(level, &edge_node, &allowed_nodes);
-    // Attribute survivors to their nodes.
-    node_count_scratch_.clear();
-    for (EdgeId e : survivors_) {
-      if (GetStatus(e) != kSurvived) continue;
-      node_count_scratch_.emplace_back(edge_node[e], 1u);
-    }
-    std::sort(node_count_scratch_.begin(), node_count_scratch_.end());
-    size_t j = 0;
-    while (j < node_count_scratch_.size()) {
-      const uint32_t node = node_count_scratch_[j].first;
-      uint32_t count = 0;
-      while (j < node_count_scratch_.size() &&
-             node_count_scratch_[j].first == node) {
-        ++count;
-        ++j;
-      }
-      counts->emplace_back(node, count);
+    if (heap_.empty()) continue;
+    ProcessLevel(level, edge_node, allowed_nodes);
+    for (const EdgeId e : survivors_) {
+      if (GetStatus(e) == kSurvived) on_follower(e);  // else retracted later
     }
   }
   current_anchor_ = kInvalidEdge;
+}
+
+uint32_t FollowerSearch::CountFollowers(EdgeId x,
+                                        std::vector<EdgeId>* followers) {
+  if (followers != nullptr) followers->clear();
+  uint32_t total = 0;
+  SearchLevels(x, nullptr, nullptr, [&](EdgeId e) {
+    ++total;
+    if (followers != nullptr) followers->push_back(e);
+  });
+  return total;
+}
+
+void FollowerSearch::FollowersByNode(
+    EdgeId x, const std::vector<uint32_t>& edge_node,
+    const std::vector<uint32_t>& allowed_nodes,
+    std::vector<std::pair<uint32_t, uint32_t>>* counts) {
+  ATR_CHECK(edge_node.size() == g_.NumEdges());
+  // Seeds whose node is not allowed are skipped, and route expansion is
+  // confined to allowed nodes; the caller guarantees that coupled nodes
+  // are always recomputed together (level groups).
+  follower_nodes_.clear();
+  SearchLevels(x, &edge_node, &allowed_nodes,
+               [&](EdgeId e) { follower_nodes_.push_back(edge_node[e]); });
+  // Attribute followers to their nodes.
+  std::sort(follower_nodes_.begin(), follower_nodes_.end());
+  for (size_t j = 0; j < follower_nodes_.size();) {
+    const uint32_t node = follower_nodes_[j];
+    uint32_t count = 0;
+    for (; j < follower_nodes_.size() && follower_nodes_[j] == node; ++j) {
+      ++count;
+    }
+    counts->emplace_back(node, count);
+  }
 }
 
 uint32_t FollowerSearch::RouteSize(EdgeId x) {

@@ -63,8 +63,8 @@ class FollowerSearch {
 
   // GAS variant: computes followers restricted to the tree nodes listed in
   // `allowed_nodes` (sorted node ids). `edge_node` maps every edge to its
-  // tree-node id. Appends (node id, follower count) pairs for each allowed
-  // node that produced at least one follower.
+  // tree-node id. Appends (node id, follower count) pairs, in ascending
+  // node order, for each allowed node that produced at least one follower.
   //
   // Exactness contract: same-level nodes can be coupled through the
   // candidate's own triangles, so the caller must list *all* nodes of a
@@ -121,6 +121,16 @@ class FollowerSearch {
   // Collects the Lemma 2 condition (i) seeds of x into seeds_.
   void CollectSeeds(EdgeId x);
 
+  // The level loop shared by CountFollowers and FollowersByNode: collects
+  // x's seeds, solves each trussness level as one batch, and calls
+  // on_follower(e) for every edge that survives its level. When
+  // `allowed_nodes` is non-null, seeds and route expansion are confined to
+  // edges whose tree node (`edge_node`) is listed.
+  template <typename OnFollower>
+  void SearchLevels(EdgeId x, const std::vector<uint32_t>* edge_node,
+                    const std::vector<uint32_t>* allowed_nodes,
+                    OnFollower&& on_follower);
+
   bool IsAnchoredEdge(EdgeId e) const {
     return anchored_ != nullptr && !anchored_->empty() && (*anchored_)[e];
   }
@@ -141,7 +151,7 @@ class FollowerSearch {
   std::vector<EdgeId> seeds_;
   std::vector<EdgeId> survivors_;
   std::vector<EdgeId> decrement_queue_;
-  std::vector<std::pair<uint32_t, uint32_t>> node_count_scratch_;
+  std::vector<uint32_t> follower_nodes_;  // FollowersByNode scratch
 };
 
 }  // namespace atr

@@ -91,7 +91,7 @@ void TrussComponentTree::Build(const Graph& g,
 
   // Per-level edge lists (ascending edge id within a level by construction).
   // Edges outside the decomposition's subset (trussness
-  // kTrussnessNotComputed, e.g. removed by an incremental session) belong
+  // kTrussnessNotComputed, e.g. removed from a subset decomposition) belong
   // to no node, like anchors; any triangle touching one was already dropped
   // above because its kmin is 0.
   std::vector<std::vector<EdgeId>> hull(kmax + 1);

@@ -24,9 +24,9 @@
 // Insertion works over the fixed CSR topology: the inserted edge must have
 // a slot in the Graph (it was removed earlier, or the snapshot was
 // materialized with the edge pre-declared via Graph::ApplyEdits and seeded
-// dead). Arrivals of genuinely new topology go through
-// Graph::ApplyEdits + a seeded engine on the new snapshot — the pattern
-// AtrService::UpdateGraph packages up.
+// dead). Arrivals of new topology go through Graph::ApplyEdits, which
+// validates the delta, and a seeded engine on the new snapshot — the
+// pattern AtrService::UpdateGraph packages up.
 //
 // The update is exact, not approximate: the affected-region re-peel
 // replays the batch-peeling process of ComputeTrussDecomposition with
@@ -39,8 +39,7 @@
 // tests/incremental_truss_test.cc asserts after every operation.
 //
 // Every mutation appends to an undo log, so callers (the edge-deletion
-// baseline, mutable engine sessions) can speculatively try a candidate and
-// roll it back:
+// baseline) can speculatively try a candidate and roll it back:
 //
 //   IncrementalTruss inc(graph);
 //   const IncrementalTruss::Checkpoint cp = inc.MarkRollbackPoint();
@@ -59,7 +58,6 @@
 
 #include "graph/graph.h"
 #include "truss/decomposition.h"
-#include "util/status.h"
 
 namespace atr {
 
@@ -81,12 +79,10 @@ class IncrementalTruss {
   // outlive the engine.
   explicit IncrementalTruss(const Graph& g);
 
-  // Adopts a precomputed decomposition of `g` instead of recomputing.
-  // `seed` must be the decomposition ComputeTrussDecomposition(g, anchored)
-  // produced for `anchored` (empty = no anchors); edges with trussness
-  // kTrussnessNotComputed are treated as removed.
-  IncrementalTruss(const Graph& g, TrussDecomposition seed,
-                   std::vector<bool> anchored = {});
+  // Adopts a precomputed anchor-free decomposition of `g` instead of
+  // recomputing; edges with trussness kTrussnessNotComputed are treated as
+  // removed (the subset decomposition over the others).
+  IncrementalTruss(const Graph& g, TrussDecomposition seed);
 
   // Copyable so parallel candidate evaluation can clone one engine per
   // worker; the copy shares nothing with the original. Movable so a
@@ -134,12 +130,6 @@ class IncrementalTruss {
   // same affected-region machinery (with the full-rebuild fallback).
   // Returns the trussness the inserted edge settles at.
   uint32_t InsertEdge(EdgeId e);
-
-  // Streaming-arrival flavor: resolves {u, v} against the topology.
-  // kNotFound when the topology has no such slot (materialize a new
-  // snapshot with Graph::ApplyEdits first), kFailedPrecondition when the
-  // edge is already alive. Returns the edge id on success.
-  StatusOr<EdgeId> InsertEdge(VertexId u, VertexId v);
 
   // Undo-log cursor for speculative apply/rollback. Rolling back restores
   // the decomposition, anchor set, and alive set byte-identically; marks
@@ -202,7 +192,7 @@ class IncrementalTruss {
   };
 
   void InitScratch();
-  void AdoptSeed(TrussDecomposition seed, std::vector<bool> anchored);
+  void AdoptSeed(TrussDecomposition seed);
 
   // Histogram + running-total bookkeeping around every edge-state write.
   void HistAdd(uint32_t trussness);

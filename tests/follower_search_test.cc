@@ -1,16 +1,20 @@
 // Tests for the upward-route follower search (Algorithm 3). The linchpin
 // property: CountFollowers must reproduce the brute-force oracle (anchored
 // re-decomposition diff) for every candidate edge, on every graph, including
-// graphs that already carry anchors.
+// graphs that already carry anchors; FollowersByNode over every tree node
+// must split exactly that follower set by node.
 
 #include "route/follower_search.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "tests/paper_fixtures.h"
 #include "tests/test_helpers.h"
+#include "tree/component_tree.h"
 #include "truss/decomposition.h"
 #include "truss/gain.h"
 
@@ -170,6 +174,45 @@ TEST_P(FollowerPropertyTest, ScratchStateIsReusableAcrossCalls) {
     search.RouteSize(x);
   }
   EXPECT_EQ(search.CountFollowers(probe), first);
+}
+
+TEST_P(FollowerPropertyTest, FollowersByNodeWithEveryNodeMatchesCountFollowers) {
+  // GAS's per-node variant, allowed every tree node, is the full search
+  // split by node: its counts sum to CountFollowers(x) and attribute each
+  // follower to the node that holds it.
+  const uint64_t seed = GetParam();
+  const Graph g = MakePropertyGraph(seed);
+  const TrussDecomposition d = ComputeTrussDecomposition(g);
+  TrussComponentTree tree;
+  tree.Build(g, d, {});
+  const std::vector<uint32_t>& edge_node = tree.edge_node_ids();
+  std::vector<uint32_t> all_nodes;
+  for (const TrussTreeNode& node : tree.nodes()) all_nodes.push_back(node.id);
+  std::sort(all_nodes.begin(), all_nodes.end());
+
+  FollowerSearch search(g);
+  search.SetState(&d, nullptr);
+  for (EdgeId x = 0; x < g.NumEdges(); ++x) {
+    std::vector<EdgeId> followers;
+    const uint32_t total = search.CountFollowers(x, &followers);
+    std::vector<std::pair<uint32_t, uint32_t>> expected;
+    std::vector<uint32_t> follower_nodes;
+    for (const EdgeId f : followers) follower_nodes.push_back(edge_node[f]);
+    std::sort(follower_nodes.begin(), follower_nodes.end());
+    for (const uint32_t node : follower_nodes) {
+      if (expected.empty() || expected.back().first != node) {
+        expected.emplace_back(node, 0);
+      }
+      ++expected.back().second;
+    }
+
+    std::vector<std::pair<uint32_t, uint32_t>> by_node;
+    search.FollowersByNode(x, edge_node, all_nodes, &by_node);
+    uint32_t sum = 0;
+    for (const auto& [node, count] : by_node) sum += count;
+    EXPECT_EQ(sum, total) << "anchor " << x << " seed " << seed;
+    EXPECT_EQ(by_node, expected) << "anchor " << x << " seed " << seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FollowerPropertyTest,

@@ -232,6 +232,49 @@ TEST(IncrementalTruss, ClearUndoLogInvalidatesAllCheckpoints) {
   EXPECT_FALSE(inc.IsAnchored(1));
 }
 
+TEST(IncrementalTruss, StaleCheckpointsAreRejectedNotRestored) {
+  // A checkpoint invalidated by a deeper rollback must not validate again
+  // once the undo log regrows past its position — restoring it would land
+  // the decomposition mid-mutation.
+  const Graph g = MakeFig3Graph();
+  IncrementalTruss inc(g);
+  const IncrementalTruss::Checkpoint pristine = inc.MarkRollbackPoint();
+  inc.ApplyAnchor(0);
+  const IncrementalTruss::Checkpoint cp = inc.MarkRollbackPoint();
+  inc.ApplyAnchor(1);
+  inc.RollbackTo(pristine);
+  inc.ApplyAnchor(2);  // fresh history past cp
+  EXPECT_FALSE(inc.IsValidCheckpoint(cp));
+  EXPECT_TRUE(inc.IsValidCheckpoint(pristine));
+  // The state is still coherent.
+  EXPECT_FALSE(inc.IsAnchored(0));
+  EXPECT_FALSE(inc.IsAnchored(1));
+  EXPECT_TRUE(inc.IsAnchored(2));
+  ExpectByteIdentical(inc, 0, 0);
+}
+
+TEST(IncrementalTruss, NestedRollbacksStayValid) {
+  // Rolling back to a later checkpoint keeps earlier ones usable.
+  const Graph g = MakeFig3Graph();
+  IncrementalTruss inc(g);
+  inc.ApplyAnchor(0);
+  const StateSnapshot at_outer(inc);
+  const IncrementalTruss::Checkpoint outer = inc.MarkRollbackPoint();
+  inc.ApplyAnchor(1);
+  const IncrementalTruss::Checkpoint inner = inc.MarkRollbackPoint();
+  inc.ApplyAnchor(2);
+  inc.RemoveEdge(3);
+  inc.RollbackTo(inner);
+  ASSERT_TRUE(inc.IsValidCheckpoint(outer));
+  inc.RollbackTo(outer);
+  EXPECT_TRUE(inc.IsAnchored(0));
+  EXPECT_FALSE(inc.IsAnchored(1));
+  EXPECT_FALSE(inc.IsAnchored(2));
+  EXPECT_TRUE(inc.IsAlive(3));
+  at_outer.ExpectEquals(inc, 0);
+  ExpectByteIdentical(inc, 0, 0);
+}
+
 TEST(IncrementalTruss, CopiesAreIndependent) {
   const Graph g = MakeFig3Graph();
   IncrementalTruss inc(g);

@@ -2,12 +2,13 @@
 // (concurrent mixed jobs byte-identical to serial AtrEngine runs, exactly
 // one decomposition build per graph), the async job lifecycle (Wait /
 // TryGet / Cancel / Progress), cancellation and wall-clock early stop
-// across every registered solver, graph catalog semantics under eviction,
-// and copy-on-write session checkouts. The whole file runs under the
+// across every built-in solver, graph catalog semantics under eviction,
+// and versioned UpdateGraph snapshots. The whole file runs under the
 // nightly TSan leg.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -522,67 +523,6 @@ TEST(ServiceCatalog, RemoveGraphKeepsInFlightJobsAlive) {
   EXPECT_EQ(result->anchor_edges.size(), 2u);
 }
 
-// --- Copy-on-write session checkouts --------------------------------------
-
-TEST(ServiceSessions, CheckoutIsCopyOnWriteAndIsolated) {
-  const Graph g = MakeServiceGraph();
-  AtrService service;
-  ASSERT_TRUE(service.AddGraph("g", g).ok());
-
-  StatusOr<std::unique_ptr<AtrEngine>> a = service.CheckoutSession("g");
-  StatusOr<std::unique_ptr<AtrEngine>> b = service.CheckoutSession("g");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  // Checkouts are primed from the shared snapshot: no private builds.
-  EXPECT_EQ((*a)->decomposition_builds(), 0u);
-  EXPECT_EQ((*b)->decomposition_builds(), 0u);
-
-  // Mutate session a; session b and the served snapshot stay pristine.
-  ASSERT_TRUE((*a)->ApplyAnchor(0).ok());
-  EXPECT_EQ((*a)->Decomposition().trussness[0], kAnchoredTrussness);
-  EXPECT_NE((*b)->Decomposition().trussness[0], kAnchoredTrussness);
-
-  StatusOr<GraphSnapshot> snapshot = service.Snapshot("g");
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_NE(snapshot->decomposition->trussness[0], kAnchoredTrussness);
-
-  // Reader jobs submitted while a mutated session exists are untouched.
-  SolverOptions options;
-  options.budget = 2;
-  StatusOr<JobHandle> job = service.Submit("g", "gas", options);
-  ASSERT_TRUE(job.ok());
-  StatusOr<SolveResult> via_service = job->Wait();
-  ASSERT_TRUE(via_service.ok());
-  AtrEngine oracle(MakeServiceGraph());
-  StatusOr<SolveResult> direct = oracle.Run("gas", options);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(via_service->anchor_edges, direct->anchor_edges);
-
-  // The session solves its own residual problem on the committed state.
-  StatusOr<SolveResult> residual = (*a)->Run("gas", options);
-  ASSERT_TRUE(residual.ok()) << residual.status().message();
-
-  // Still exactly one service-side build, ever.
-  StatusOr<AtrService::GraphInfo> info = service.Info("g");
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->decomposition_builds, 1u);
-}
-
-TEST(ServiceSessions, CheckoutSurvivesGraphRemoval) {
-  AtrService service;
-  ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
-  StatusOr<std::unique_ptr<AtrEngine>> session = service.CheckoutSession("g");
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(service.RemoveGraph("g").ok());
-  // The checkout owns its snapshot; the catalog entry is gone.
-  ASSERT_TRUE((*session)->ApplyAnchor(0).ok());
-  SolverOptions options;
-  options.budget = 1;
-  EXPECT_TRUE((*session)->Run("gas", options).ok());
-  EXPECT_EQ(service.CheckoutSession("g").status().code(),
-            StatusCode::kNotFound);
-}
-
 // A finished job must pin only its result: once the graph is removed,
 // outstanding JobHandle copies do not keep the snapshot (graph +
 // decomposition) or the solver alive.
@@ -819,42 +759,55 @@ TEST(ServiceStreaming, ConcurrentUpdateGraphAndSubmit) {
   EXPECT_EQ(service.Info("g")->delta_updates, 12u);
 }
 
-TEST(ServiceStreaming, CheckoutSessionInsertEdgeRoundTrip) {
+// BASE (full recompute per round), BASE+ and GAS (incremental engine)
+// seeded from a decomposition that UpdateGraph maintained incrementally
+// are still one greedy algorithm: same anchors, per-round gains and
+// follower trussness — and the same answer as a from-scratch engine.
+TEST(ServiceStreaming, GreedyFamilyAgreesOnAMaintainedDecomposition) {
   AtrService service;
   ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
-  StatusOr<std::unique_ptr<AtrEngine>> session = service.CheckoutSession("g");
-  ASSERT_TRUE(session.ok());
-  AtrEngine& engine = **session;
-  const EdgeEndpoints ends = engine.graph().Edge(3);
-  ASSERT_TRUE(engine.RemoveEdge(3).ok());
-  StatusOr<uint32_t> trussness = engine.InsertEdge(ends.u, ends.v);
-  ASSERT_TRUE(trussness.ok());
-  // Same alive set again: the session matches the untouched snapshot.
-  StatusOr<GraphSnapshot> snapshot = service.Snapshot("g");
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(engine.Decomposition().trussness, snapshot->decomposition->trussness);
-  EXPECT_EQ(*trussness, snapshot->decomposition->trussness[3]);
-}
+  StatusOr<GraphSnapshot> version = service.Snapshot("g");
+  ASSERT_TRUE(version.ok());
+  for (int i = 0; i < 2; ++i) {
+    version = service.UpdateGraph("g", MakeServiceDelta(*version->graph));
+    ASSERT_TRUE(version.ok()) << version.status().message();
+  }
+  ASSERT_EQ(version->version, 3u);
+  // Both versions were maintained, not rebuilt.
+  ASSERT_EQ(service.Info("g")->decomposition_builds, 1u);
 
-TEST(ServiceStreaming, FailedInsertProbeLeavesSessionPristine) {
-  // The documented arrival flow probes InsertEdge and falls back to
-  // Graph::ApplyEdits on kNotFound; the failed probe must not create a
-  // session (which would make non-greedy solvers reject the engine).
-  AtrService service;
-  ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
-  StatusOr<std::unique_ptr<AtrEngine>> session = service.CheckoutSession("g");
-  ASSERT_TRUE(session.ok());
-  AtrEngine& engine = **session;
-  StatusOr<uint32_t> no_slot =
-      engine.InsertEdge(0, engine.graph().NumVertices() + 3);
-  EXPECT_EQ(no_slot.status().code(), StatusCode::kNotFound);
-  const EdgeEndpoints alive = engine.graph().Edge(0);
-  StatusOr<uint32_t> already = engine.InsertEdge(alive.u, alive.v);
-  EXPECT_EQ(already.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(engine.HasSessionMutations());
   SolverOptions options;
-  options.budget = 1;
-  EXPECT_TRUE(engine.Run("exact", options).ok());  // not a mutated session
+  options.budget = 3;
+  const std::vector<std::string> solvers = {"base", "base+", "gas"};
+  std::vector<SolveResult> results;
+  for (const std::string& solver : solvers) {
+    StatusOr<JobHandle> job = service.Submit("g", solver, options);
+    ASSERT_TRUE(job.ok()) << solver;
+    StatusOr<SolveResult> result = job->Wait();
+    ASSERT_TRUE(result.ok()) << solver << ": " << result.status().message();
+    results.push_back(*std::move(result));
+  }
+  EXPECT_GT(results[0].total_gain, 0u);
+
+  const auto sorted_followers = [](const AnchorRound& round) {
+    std::vector<uint32_t> trussness = round.follower_trussness;
+    std::sort(trussness.begin(), trussness.end());
+    return trussness;
+  };
+  for (size_t s = 1; s < results.size(); ++s) {
+    ExpectSameResult(results[0], results[s], solvers[s]);
+    ASSERT_EQ(results[0].rounds.size(), results[s].rounds.size());
+    for (size_t r = 0; r < results[0].rounds.size(); ++r) {
+      EXPECT_EQ(sorted_followers(results[0].rounds[r]),
+                sorted_followers(results[s].rounds[r]))
+          << solvers[s] << " round " << r;
+    }
+  }
+
+  AtrEngine fresh{Graph(*version->graph)};
+  StatusOr<SolveResult> expected = fresh.Run("gas", options);
+  ASSERT_TRUE(expected.ok());
+  ExpectSameResult(*expected, results[2], "from-scratch gas");
 }
 
 // Drain really waits for everything submitted so far.
