@@ -7,6 +7,7 @@
 #include "bench/bench_common.h"
 #include "graph/subgraph.h"
 #include "util/env.h"
+#include "util/parallel_for.h"
 #include "util/prng.h"
 #include "util/table_printer.h"
 
@@ -17,15 +18,15 @@ void Run() {
   PrintBenchHeader("bench_fig9_scalability", "Fig. 9 (Exp-6)");
   const uint32_t b = static_cast<uint32_t>(
       GetEnvInt64("ATR_BENCH_SCAL_B", std::min<int64_t>(10, BenchBudget())));
-  const int threads =
-      static_cast<int>(GetEnvInt64("ATR_BENCH_THREADS", 0));
-  std::printf("GAS budget per sample: %u, threads: %d (0 = ambient; the "
+  // ATR_THREADS sets the worker count of the GAS solves and their shared
+  // decomposition.
+  const int threads = ParallelWorkerCount();
+  std::printf("GAS budget per sample: %u, threads: %d (ATR_THREADS; the "
               "shared decomposition uses the parallel peel when > 1)\n",
               b, threads);
 
   SolverOptions options;
   options.budget = b;
-  options.threads = threads;
 
   for (const char* name : {"patents", "pokec"}) {
     const DatasetInstance data = MakeDataset(name, BenchScale());

@@ -1,12 +1,11 @@
 // Google-benchmark microbenchmarks for the computational kernels:
 // support computation, truss decomposition, component-tree construction,
-// follower search, route-size probes, and the solver-API dispatch layer
-// (registry lookup, engine decomposition cache).
+// follower search, route-size probes, and the engine's decomposition
+// cache.
 
 #include <benchmark/benchmark.h>
 
 #include "api/engine.h"
-#include "api/registry.h"
 #include "graph/generators/generators.h"
 #include "graph/triangles.h"
 #include "route/follower_search.h"
@@ -78,16 +77,6 @@ void BM_RouteSizePerEdge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RouteSizePerEdge)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_RegistryCreate(benchmark::State& state) {
-  // Per-solve dispatch cost of the unified API: name lookup + adapter
-  // construction. Must stay negligible next to any real solve.
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SolverRegistry::Create("gas"));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RegistryCreate);
 
 void BM_EngineDecompositionCacheHit(benchmark::State& state) {
   AtrEngine engine(MakeBenchGraph(state.range(0)));

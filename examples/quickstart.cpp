@@ -8,7 +8,6 @@
 #include <cstdlib>
 
 #include "api/engine.h"
-#include "api/registry.h"
 #include "graph/generators/generators.h"
 
 int main(int argc, char** argv) {
@@ -19,9 +18,9 @@ int main(int argc, char** argv) {
   atr::Graph g = atr::HolmeKimGraph(2000, 6, 0.8, /*seed=*/7);
   std::printf("graph: %u vertices, %u edges\n", g.NumVertices(), g.NumEdges());
 
-  // The engine owns the graph and caches its truss decomposition; every
-  // registered solver ("base", "base+", "gas", "exact", "rand", "sup",
-  // "tur", "akt:<k>") runs against that shared state.
+  // The engine owns the graph and builds its truss decomposition once;
+  // every named solver ("base", "base+", "gas", "exact", "rand", "sup",
+  // "tur", "akt:<k>"; atr::KnownSolvers()) runs against that shared state.
   atr::AtrEngine engine(std::move(g));
   std::printf("max trussness: %u\n", engine.MaxTrussness());
 

@@ -1,22 +1,20 @@
 #include "api/engine.h"
 
-#include <memory>
-#include <utility>
-
-#include "api/registry.h"
-
 namespace atr {
 
-AtrEngine::AtrEngine(const Graph& graph, TrussDecomposition decomposition)
-    : graph_(&graph), context_(graph) {
-  context_.PrimeDecomposition(std::move(decomposition));
+const TrussDecomposition& AtrEngine::Decomposition() {
+  if (!decomposition_.has_value()) {
+    decomposition_ = ComputeTrussDecomposition(*graph_);
+    ++decomposition_builds_;
+  }
+  return *decomposition_;
 }
 
 StatusOr<SolveResult> AtrEngine::Run(const std::string& solver,
                                      const SolverOptions& options) {
-  StatusOr<std::unique_ptr<Solver>> instance = SolverRegistry::Create(solver);
-  if (!instance.ok()) return instance.status();
-  return (*instance)->Solve(context_, options);
+  Status name = CheckSolverName(solver);
+  if (!name.ok()) return name;
+  return Solve(*graph_, Decomposition(), solver, options);
 }
 
 StatusOr<SolveResult> AtrEngine::RunSweep(

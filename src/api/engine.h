@@ -1,7 +1,7 @@
 // AtrEngine — facade over one graph.
 //
-// An engine holds a Graph plus the lazily-computed, cached anchor-free
-// truss decomposition (a SolverContext), and runs any built-in solver
+// An engine holds a Graph plus its anchor-free truss decomposition, built
+// once on first use, and runs any named solver (atr::Solve, api/solver.h)
 // against that shared state:
 //
 //   AtrEngine engine(std::move(graph));
@@ -26,11 +26,13 @@
 #ifndef ATR_API_ENGINE_H_
 #define ATR_API_ENGINE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/solver.h"
 #include "graph/graph.h"
+#include "truss/decomposition.h"
 #include "util/status.h"
 
 namespace atr {
@@ -39,23 +41,23 @@ class AtrEngine {
  public:
   // Owning: the engine holds the graph for its lifetime.
   explicit AtrEngine(Graph graph)
-      : owned_graph_(std::move(graph)),
-        graph_(&owned_graph_),
-        context_(owned_graph_) {}
+      : owned_graph_(std::move(graph)), graph_(&owned_graph_) {}
 
   // Borrowing: `graph` must outlive the engine (benchmark DatasetInstances
-  // already own one). `decomposition` primes the cache with a precomputed
-  // anchor-free decomposition, so the engine never recomputes it.
-  AtrEngine(const Graph& graph, TrussDecomposition decomposition);
+  // already own one). `decomposition` is the graph's precomputed
+  // anchor-free decomposition, so the engine never builds one.
+  AtrEngine(const Graph& graph, TrussDecomposition decomposition)
+      : graph_(&graph), decomposition_(std::move(decomposition)) {}
 
-  // Engines hold a self-referencing context; copying/moving is disabled.
+  // Engines may point into themselves; copying/moving is disabled.
   AtrEngine(const AtrEngine&) = delete;
   AtrEngine& operator=(const AtrEngine&) = delete;
 
   const Graph& graph() const { return *graph_; }
 
-  // Creates solver `name` via SolverRegistry and solves against the shared
-  // context. Errors (unknown name, invalid options) flow back as Status.
+  // Solves `solver` against the shared decomposition. Errors (unknown
+  // name, invalid options) flow back as Status; an unknown or malformed
+  // name fails before the decomposition is built.
   StatusOr<SolveResult> Run(const std::string& solver,
                             const SolverOptions& options);
 
@@ -66,22 +68,19 @@ class AtrEngine {
                                  const std::vector<uint32_t>& checkpoints,
                                  SolverOptions options = {});
 
-  // Cached anchor-free decomposition (computed on first use).
-  const TrussDecomposition& Decomposition() { return context_.Decomposition(); }
-  uint32_t MaxTrussness() { return context_.MaxTrussness(); }
+  // Anchor-free decomposition (built on first use).
+  const TrussDecomposition& Decomposition();
+  uint32_t MaxTrussness() { return Decomposition().max_trussness; }
 
-  // Cache instrumentation, forwarded from the context.
-  uint32_t decomposition_builds() const {
-    return context_.decomposition_builds();
-  }
-  uint32_t decomposition_reuses() const {
-    return context_.decomposition_reuses();
-  }
+  // Times this engine built the decomposition: 0 before first use (or
+  // when constructed with one), 1 forever after.
+  uint32_t decomposition_builds() const { return decomposition_builds_; }
 
  private:
   Graph owned_graph_;   // empty in borrowing mode
   const Graph* graph_;  // &owned_graph_ or the borrowed graph
-  SolverContext context_;
+  std::optional<TrussDecomposition> decomposition_;
+  uint32_t decomposition_builds_ = 0;
 };
 
 }  // namespace atr

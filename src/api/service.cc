@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 #include <utility>
 #include <vector>
 
-#include "api/registry.h"
-#include "core/exact.h"
 #include "truss/incremental.h"
 #include "util/mutex.h"
 #include "util/parallel_for.h"
 #include "util/thread_annotations.h"
-#include "util/timer.h"
 
 namespace atr {
 namespace internal {
@@ -26,7 +22,6 @@ struct JobState {
   std::string graph_name;
   std::string solver_name;
   SolverOptions options;            // the caller's options, unmodified
-  std::unique_ptr<Solver> solver;   // resolved at Submit time
   std::function<GraphSnapshot()> snapshot;  // service's build-once entry
 
   mutable Mutex mu;
@@ -42,7 +37,7 @@ struct JobState {
 
 // Publishes `result` as the job's terminal state and fires the completion
 // hook outside the lock. Long-lived JobHandle copies must pin only the
-// result, not the graph snapshot, the solver, or the caller's closures.
+// result, not the graph snapshot or the caller's closures.
 void PublishResult(const std::shared_ptr<JobState>& state,
                    StatusOr<SolveResult> result, JobHandle::State terminal) {
   std::function<void()> done;
@@ -51,7 +46,6 @@ void PublishResult(const std::shared_ptr<JobState>& state,
     state->result = std::move(result);
     state->state = terminal;
     state->snapshot = nullptr;
-    state->solver.reset();
     state->options = SolverOptions();
     done = std::move(state->on_done);
     state->on_done = nullptr;
@@ -69,23 +63,6 @@ void PublishCancelledBeforeStart(const std::shared_ptr<JobState>& state) {
           "job " + std::to_string(state->id) + " (" + state->solver_name +
           " on \"" + state->graph_name + "\") cancelled before it started")),
       JobHandle::State::kCancelled);
-}
-
-// Gains of the greedy prefixes at each checkpoint — must stay in lockstep
-// with the PrefixGains helper the GreedySolver adapter applies to a solo
-// run (api/solvers.cc), or fused results drift from the serial oracle.
-std::vector<uint64_t> GreedyPrefixGains(const std::vector<AnchorRound>& rounds,
-                                        const std::vector<uint32_t>& checkpoints) {
-  std::vector<uint64_t> gains;
-  gains.reserve(checkpoints.size());
-  for (uint32_t c : checkpoints) {
-    uint64_t gain = 0;
-    for (size_t r = 0; r < rounds.size() && r < c; ++r) {
-      gain += rounds[r].gain;
-    }
-    gains.push_back(gain);
-  }
-  return gains;
 }
 
 }  // namespace internal
@@ -211,9 +188,8 @@ AtrService::AtrService(const Options& options) {
   sched.workers = std::max(1, total_workers / num_shards);
   sched.capacity = std::max<size_t>(
       1, total_capacity / static_cast<size_t>(num_shards));
-  sched.threads_per_job = options.threads_per_job > 0
-                              ? options.threads_per_job
-                              : std::max(1, machine / total_workers);
+  // Each worker runs its jobs on an even share of the machine.
+  sched.threads_per_job = std::max(1, machine / total_workers);
   sched.max_batch = std::max<size_t>(1, options.max_batch);
   shards_.reserve(num_shards);
   for (int s = 0; s < num_shards; ++s) {
@@ -516,17 +492,15 @@ StatusOr<JobHandle> AtrService::TrySubmit(const std::string& graph_name,
 
 namespace {
 
-// Only the prefix-consistent solvers fuse: the greedy family picks each
-// round's argmax independent of the remaining budget (a budget-b run IS
-// the first b rounds of a budget-B run), and exact runs one independent
-// enumeration per checkpoint budget that members can share. The
-// randomized baselines (draw length depends on budget) and AKT are
-// excluded; so is any job whose caller holds a live control surface
-// (progress callback, external cancel flag, wall-clock limit) — those
-// semantics are per-job and do not survive fusion.
+// Only the greedy family fuses: it picks each round's argmax independent
+// of the remaining budget (a budget-b run IS the first b rounds of a
+// budget-B run). Exact, the randomized baselines (draw length depends on
+// budget) and AKT run solo; so does any job whose caller holds a live
+// control surface (progress callback, external cancel flag, wall-clock
+// limit) — those semantics are per-job and do not survive fusion.
 bool FusableSolver(const std::string& solver_name) {
   return solver_name == "base" || solver_name == "base+" ||
-         solver_name == "gas" || solver_name == "exact";
+         solver_name == "gas";
 }
 
 bool FusableOptions(const SolverOptions& options) {
@@ -547,15 +521,14 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
   if (entry == nullptr) {
     return Status::NotFound("Submit: unknown graph \"" + graph_name + "\"");
   }
-  StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create(solver_name);
-  if (!solver.ok()) return solver.status();
+  Status known = CheckSolverName(solver_name);
+  if (!known.ok()) return known;
 
   auto state = std::make_shared<internal::JobState>();
   state->id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
   state->graph_name = graph_name;
   state->solver_name = solver_name;
   state->options = options;
-  state->solver = std::move(*solver);
   state->on_done = std::move(done);
   // Pin the version that is current NOW: a queued job is unaffected by
   // UpdateGraph publications between submit and run (the decomposition
@@ -570,10 +543,9 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
     // The pinned GraphVersion's address identifies graph + version with no
     // ABA risk (every queued member's snapshot closure keeps it alive), so
     // jobs only fuse when they would walk the same immutable snapshot with
-    // the same engine configuration.
+    // the same solver.
     job.batch_key = solver_name + "|" +
-                    std::to_string(reinterpret_cast<uintptr_t>(version.get())) +
-                    "|t" + std::to_string(options.threads);
+                    std::to_string(reinterpret_cast<uintptr_t>(version.get()));
   }
   job.payload = state;
 
@@ -636,7 +608,7 @@ void AtrService::RunBatch(std::vector<FairScheduler::Job> batch) {
     return;
   }
   // A multi-member batch only forms for fusable jobs sharing one batch
-  // key, i.e. one pinned GraphVersion + one solver + one engine config.
+  // key, i.e. one pinned GraphVersion + one greedy solver.
   std::vector<std::shared_ptr<internal::JobState>> members;
   members.reserve(batch.size());
   for (FairScheduler::Job& job : batch) {
@@ -652,11 +624,7 @@ void AtrService::RunBatch(std::vector<FairScheduler::Job> batch) {
     members.push_back(std::move(state));
   }
   if (members.empty()) return;
-  if (members.front()->solver_name == "exact") {
-    RunFusedExact(members);
-  } else {
-    RunFusedGreedy(members);
-  }
+  RunFusedGreedy(members);
 }
 
 void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
@@ -670,12 +638,8 @@ void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
     state->state = JobHandle::State::kRunning;
   }
 
-  // Fork the per-job read path: a private context primed with the shared
-  // immutable snapshot. The solver mutates only this context (counters)
-  // and its own stack — the snapshot is never written.
+  // The solver only reads the shared immutable snapshot.
   const GraphSnapshot snapshot = state->snapshot();
-  SolverContext context(*snapshot.graph);
-  context.PrimeDecomposition(snapshot.decomposition);
 
   // Rewire the control surface onto the job: the solver polls the job's
   // cancel flag (JobHandle::Cancel at native round/trial granularity), and
@@ -708,14 +672,14 @@ void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
     return keep_going && !state->cancel.load(std::memory_order_relaxed);
   };
 
-  StatusOr<SolveResult> result = state->solver->Solve(context, effective);
+  StatusOr<SolveResult> result = Solve(*snapshot.graph, *snapshot.decomposition,
+                                       state->solver_name, effective);
   internal::PublishResult(state, std::move(result), JobHandle::State::kDone);
 }
 
 // One greedy walk at the max member budget; every member's result is the
-// b-round prefix, assembled with exactly the bookkeeping the GreedySolver
-// adapter applies to a solo run (api/solvers.cc) so fused and solo results
-// are byte-identical.
+// b-round prefix, built by GreedyResult — the function a solo greedy Solve
+// builds its result with — so fused and solo results are byte-identical.
 void AtrService::RunFusedGreedy(
     const std::vector<std::shared_ptr<internal::JobState>>& members) {
   const GraphSnapshot snapshot = members.front()->snapshot();
@@ -737,12 +701,8 @@ void AtrService::RunFusedGreedy(
   }
   if (live.empty()) return;
 
-  SolverContext context(*snapshot.graph);
-  context.PrimeDecomposition(snapshot.decomposition);
-
   SolverOptions fused;
   fused.budget = max_budget;
-  fused.threads = live.front()->options.threads;
   // The batch's native cancel granularity: after each round, members that
   // already have their budget covered record progress, and the walk stops
   // only when EVERY member wants out (one live member keeps it running —
@@ -762,123 +722,27 @@ void AtrService::RunFusedGreedy(
         any_live = true;
       }
     }
-    // False once no un-cancelled member needs another round. The greedy
-    // core may then flag stopped_early even when the max budget was fully
-    // served; the per-member carve below re-derives the solo flag from
-    // prefix < budget, so that over-report never leaks into a result.
+    // False once no un-cancelled member needs another round; GreedyResult
+    // reports stopped_early only to members whose budget the walk missed.
     return any_live;
   };
 
-  StatusOr<SolveResult> run = live.front()->solver->Solve(context, fused);
-  if (!run.ok()) {
+  StatusOr<SolveResult> walk =
+      Solve(*snapshot.graph, *snapshot.decomposition,
+            live.front()->solver_name, fused);
+  if (!walk.ok()) {
     for (const auto& state : live) {
-      internal::PublishResult(state, StatusOr<SolveResult>(run.status()),
+      internal::PublishResult(state, StatusOr<SolveResult>(walk.status()),
                               JobHandle::State::kDone);
     }
     return;
   }
-
   for (const auto& state : live) {
-    const uint32_t budget = state->options.budget;
-    const size_t prefix = std::min<size_t>(budget, run->rounds.size());
-    SolveResult result;
-    result.solver = run->solver;
-    result.anchor_edges.assign(run->anchor_edges.begin(),
-                               run->anchor_edges.begin() + prefix);
-    result.rounds.assign(run->rounds.begin(), run->rounds.begin() + prefix);
-    for (const AnchorRound& round : result.rounds) {
-      result.total_gain += round.gain;
-      result.fully_reusable += round.fully_reusable;
-      result.partially_reusable += round.partially_reusable;
-      result.non_reusable += round.non_reusable;
-    }
-    result.gain_at_checkpoint = internal::GreedyPrefixGains(
-        result.rounds, EffectiveCheckpoints(state->options));
-    // A walk that ran out of eligible candidates before this member's
-    // budget is natural exhaustion (solo reports it the same way, not
-    // stopped_early); a cancelled walk is stopped_early only for members
-    // whose budget the prefix did not reach.
-    result.stopped_early = run->stopped_early && prefix < budget;
-    result.seconds = run->seconds;
-    internal::PublishResult(state, std::move(result), JobHandle::State::kDone);
-  }
-}
-
-// One exact enumeration per DISTINCT checkpoint budget across the batch;
-// members assemble their sweeps from the shared runs with the solo
-// adapter's exact bookkeeping (per-member subsets_evaluated sums its own
-// checkpoints, so results match a solo run bit for bit).
-void AtrService::RunFusedExact(
-    const std::vector<std::shared_ptr<internal::JobState>>& members) {
-  const GraphSnapshot snapshot = members.front()->snapshot();
-
-  std::vector<std::shared_ptr<internal::JobState>> live;
-  live.reserve(members.size());
-  std::set<uint32_t> budgets;
-  for (const auto& state : members) {
-    Status valid = ValidateSolverOptions(*snapshot.graph, state->options);
-    if (!valid.ok()) {
-      internal::PublishResult(state, StatusOr<SolveResult>(std::move(valid)),
-                              JobHandle::State::kDone);
-      continue;
-    }
-    for (uint32_t c : EffectiveCheckpoints(state->options)) budgets.insert(c);
-    live.push_back(state);
-  }
-  if (live.empty()) return;
-
-  SolverContext context(*snapshot.graph);
-  context.PrimeDecomposition(snapshot.decomposition);
-  ScopedParallelism parallelism(live.front()->options.threads);
-  const TrussDecomposition& base = context.Decomposition();
-
-  WallTimer timer;
-  std::map<uint32_t, ExactResult> computed;
-  for (uint32_t b : budgets) {  // std::set: ascending, cheap runs first
-    bool any_live = false;
-    for (const auto& state : live) {
-      if (!state->cancel.load(std::memory_order_relaxed)) any_live = true;
-    }
-    if (!any_live) break;
-    computed.emplace(b, RunExact(*snapshot.graph, b, &base));
-    const double elapsed = timer.ElapsedSeconds();
-    for (const auto& state : live) {
-      // Mirror the solo adapter's per-checkpoint progress events for
-      // members whose sweep includes this budget.
-      const std::vector<uint32_t> checkpoints =
-          EffectiveCheckpoints(state->options);
-      auto it = std::find(checkpoints.begin(), checkpoints.end(), b);
-      if (it == checkpoints.end()) continue;
-      MutexLock lock(&state->mu);
-      state->progress.solver = state->solver_name;
-      state->progress.round =
-          static_cast<uint32_t>(it - checkpoints.begin()) + 1;
-      state->progress.budget = state->options.budget;
-      state->progress.total_gain = computed.at(b).gain;
-      state->progress.elapsed_seconds = elapsed;
-    }
-  }
-  const double seconds = timer.ElapsedSeconds();
-
-  for (const auto& state : live) {
-    SolveResult result;
-    result.solver = state->solver_name;
-    for (uint32_t c : EffectiveCheckpoints(state->options)) {
-      auto it = computed.find(c);
-      if (it == computed.end()) {
-        // The batch stopped (all members cancelled) before this budget
-        // ran — the member keeps the prefix of its sweep, like a solo
-        // exact run cancelled between checkpoints.
-        result.stopped_early = true;
-        break;
-      }
-      result.gain_at_checkpoint.push_back(it->second.gain);
-      result.subsets_evaluated += it->second.subsets_evaluated;
-      result.anchor_edges = it->second.anchors;
-      result.total_gain = it->second.gain;
-    }
-    result.seconds = seconds;
-    internal::PublishResult(state, std::move(result), JobHandle::State::kDone);
+    internal::PublishResult(
+        state,
+        GreedyResult(walk->solver, walk->rounds, walk->stopped_early,
+                     walk->seconds, state->options),
+        JobHandle::State::kDone);
   }
 }
 

@@ -16,11 +16,11 @@
 //
 // One decomposition per graph, ever: the first job against a graph builds
 // its anchor-free truss decomposition (std::call_once), every later job —
-// no matter how many run concurrently — forks a cheap per-job SolverContext
-// primed with the same immutable SharedTrussDecomposition snapshot. Results
-// are byte-identical to a serial AtrEngine::Run because solver results
-// never depend on scheduling or thread count (see docs/API.md, threading
-// and determinism).
+// no matter how many run concurrently — calls atr::Solve (api/solver.h) on
+// the same immutable SharedTrussDecomposition snapshot. Results are
+// byte-identical to a serial AtrEngine::Run because solver results never
+// depend on scheduling or thread count (see docs/API.md, threading and
+// determinism).
 //
 // Jobs are asynchronous: Submit enqueues onto a bounded FairScheduler
 // (util/scheduler.h) whose workers split the machine's thread budget with
@@ -34,15 +34,15 @@
 // and each shard's scheduler serves tenants with weighted deficit
 // round-robin so a flooding tenant cannot starve a light one.
 //
-// Batch fusion: compatible queued jobs — same graph version, same solver
-// (greedy family or exact), same threads, and no caller-owned
-// progress/cancel/wall-clock hooks — coalesce into one solver run; their
-// batch-fusion key is "<solver>|<version address>|t<threads>". One greedy
-// walk at the max budget serves every member as a prefix; one exact
-// enumeration per distinct checkpoint budget serves all members' sweeps.
-// Each member's SolveResult is carved out exactly as if it had run alone
-// (the scheduler differential tests assert byte-identity), and
-// decomposition_builds still moves at most once per graph version.
+// Batch fusion: compatible queued jobs — same graph version, same greedy
+// solver (base, base+ or gas), and no caller-owned progress/cancel/
+// wall-clock hooks — coalesce into one solver run; their batch-fusion key
+// is "<solver>|<version address>". One greedy walk at the max budget
+// serves every member as a prefix, and each member's SolveResult is built
+// by GreedyResult, the function a solo greedy solve builds its result with
+// (the scheduler differential tests assert byte-identity).
+// decomposition_builds still moves at most once per graph version. Every
+// other solver runs each job solo.
 //
 // Served snapshots are immutable: every solve runs from no anchors on
 // one version's anchor-free decomposition, and readers are never blocked.
@@ -154,11 +154,6 @@ class AtrService {
     // Bounded pending-job queue: Submit blocks while this many jobs wait
     // (backpressure). 0 = 4x workers.
     size_t queue_capacity = 0;
-    // Inner-loop ParallelFor budget per job; 0 splits the submitting
-    // thread's budget evenly across the workers so job-level concurrency
-    // and data parallelism compose without oversubscription. A job whose
-    // SolverOptions::threads is set still overrides this for its own run.
-    int threads_per_job = 0;
     // Independent catalog + scheduler shards keyed by hash(graph name).
     // `workers` and `queue_capacity` are totals, split evenly across the
     // shards (at least 1 worker / 1 slot each). 1 (the default) is the
@@ -386,12 +381,10 @@ class AtrService {
   static GraphSnapshot SnapshotOf(CatalogEntry& entry, GraphVersion& version);
 
   // Scheduler entry point: singleton batches run the classic RunJob path,
-  // fused batches one shared solver walk carved per member.
+  // fused batches one shared greedy walk carved per member.
   static void RunBatch(std::vector<FairScheduler::Job> batch);
   static void RunJob(const std::shared_ptr<internal::JobState>& state);
   static void RunFusedGreedy(
-      const std::vector<std::shared_ptr<internal::JobState>>& members);
-  static void RunFusedExact(
       const std::vector<std::shared_ptr<internal::JobState>>& members);
 
   std::atomic<JobId> next_job_id_{1};

@@ -2,25 +2,41 @@
 //
 // Every selection algorithm in the repository — the greedy family (BASE,
 // BASE+, GAS), the exhaustive Exact solver, the randomized baselines
-// (Rand/Sup/Tur), and the AKT vertex-anchoring baseline — is exposed as an
-// atr::Solver behind one options struct and one result struct, so benches,
+// (Rand/Sup/Tur), and the AKT vertex-anchoring baseline — runs through one
+// function behind one options struct and one result struct, so benches,
 // examples, and services call every algorithm the same way:
 //
-//   StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create("gas");
+//   const TrussDecomposition anchor_free = ComputeTrussDecomposition(graph);
 //   SolverOptions options;
 //   options.budget = 100;
-//   StatusOr<SolveResult> result = (*solver)->Solve(graph, options);
+//   StatusOr<SolveResult> result = Solve(graph, anchor_free, "gas", options);
 //
-// Solvers validate their inputs and report recoverable failures through
-// atr::Status; they never abort on bad options. Long-running solves can be
+// Solve validates its inputs and reports recoverable failures through
+// atr::Status; it never aborts on bad options. Long-running solves can be
 // observed and cancelled through SolverOptions::progress / ::cancel, and
 // bounded with ::wall_clock_limit_seconds.
 //
-// SolverContext carries the lazily-computed, cached anchor-free truss
-// decomposition of a graph. AtrEngine (api/engine.h) keeps one context
-// alive across Run() calls so cross-solver comparisons and budget sweeps
-// (the paper's Fig. 5/6/8, Table III/V experiments) share that state
-// instead of recomputing it per call.
+// Solve never computes or mutates the decomposition it is handed, so one
+// anchor-free decomposition serves any number of solves: AtrEngine
+// (api/engine.h) builds it once per graph for cross-solver comparisons and
+// budget sweeps (the paper's Fig. 5/6/8, Table III/V experiments), and
+// AtrService (api/service.h) shares one immutable snapshot per graph
+// version across concurrent jobs.
+//
+// The parallel inner loops use ParallelWorkerCount() workers (the
+// ATR_THREADS environment variable, or a ScopedParallelism on the calling
+// thread; util/parallel_for.h). Results never depend on the worker count.
+//
+// Solver names (case-sensitive, fixed at compile time):
+//   "base"    — greedy with brute-force gain computation (Algorithm 2)
+//   "base+"   — greedy with upward-route follower search (paper §IV)
+//   "gas"     — greedy with follower search + component-tree reuse (Alg. 6)
+//   "exact"   — exhaustive b-subset enumeration (Exp-2)
+//   "rand"    — best of N uniform draws over all edges
+//   "sup"     — best of N draws over the top-20% edges by support
+//   "tur"     — best of N draws over the top-20% edges by route size
+//   "akt:<k>" — AKT vertex anchoring at level k (Zhang et al., ICDE 2018),
+//               e.g. "akt:5"; k must be an integer >= 3
 
 #ifndef ATR_API_SOLVER_H_
 #define ATR_API_SOLVER_H_
@@ -28,7 +44,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,7 +60,7 @@ namespace atr {
 // completion event (their trials run as one parallel batch, though the
 // cancel flag and wall-clock limit are still checked between trials).
 struct SolveProgress {
-  std::string solver;          // registry name of the running solver
+  std::string solver;          // name of the running solver
   uint32_t round = 0;          // 1-based round / checkpoint just completed
   uint32_t budget = 0;         // effective budget of the run
   uint64_t total_gain = 0;     // cumulative trussness gain so far
@@ -72,14 +87,9 @@ struct SolverOptions {
   // elapsed wall clock exceeds this; the result is a valid greedy prefix
   // with stopped_early set.
   double wall_clock_limit_seconds = 0.0;
-  // Worker threads for the parallel inner loops, including the truss
-  // decomposition itself (the round-synchronous flat peel is
-  // byte-identical to the serial result at every thread count, so results
-  // never depend on this setting); 0 keeps the process-wide default
-  // (ATR_THREADS env, else hardware concurrency).
-  int threads = 0;
   // Called after every round/checkpoint; returning false cancels the run
-  // (result is the prefix selected so far, stopped_early set).
+  // (result is the prefix selected so far, stopped_early set unless that
+  // prefix already covers the whole budget).
   std::function<bool(const SolveProgress&)> progress;
   // When non-null, setting the flag to true cancels the run between
   // rounds/checkpoints.
@@ -89,7 +99,7 @@ struct SolverOptions {
 // Unified result. Exactly one of anchor_edges / anchor_vertices is
 // populated (AKT anchors vertices; everything else anchors edges).
 struct SolveResult {
-  std::string solver;  // registry name of the solver that produced this
+  std::string solver;  // name of the solver that produced this
 
   std::vector<EdgeId> anchor_edges;       // in selection order
   std::vector<VertexId> anchor_vertices;  // AKT only, in selection order
@@ -119,83 +129,41 @@ struct SolveResult {
   uint64_t non_reusable = 0;
 };
 
-// Shared per-graph state handed to solvers: the graph plus its
-// lazily-computed, cached anchor-free truss decomposition. The context
-// never recomputes: the first accessor call builds, every later call
-// reuses (instrumented via decomposition_builds / decomposition_reuses,
-// which the cache tests assert on).
-//
-// The cached decomposition is held through a SharedTrussDecomposition
-// handle, so contexts can be forked cheaply from one immutable snapshot:
-// the service layer (api/service.h) computes a graph's decomposition once
-// and primes a fresh per-job context with the shared handle for every
-// concurrent solve. A context itself is single-job state (the counters and
-// lazy build are unsynchronized) — share the snapshot, not the context.
-//
-// The referenced Graph must outlive the context.
-class SolverContext {
- public:
-  explicit SolverContext(const Graph& g) : graph_(&g) {}
-
-  const Graph& graph() const { return *graph_; }
-
-  // Anchor-free decomposition of the graph; built on first call.
-  const TrussDecomposition& Decomposition();
-  // max_trussness of Decomposition() (builds it when needed).
-  uint32_t MaxTrussness();
-
-  // Seeds the cache with a precomputed anchor-free decomposition of the
-  // graph; later Decomposition() calls count as reuses, not builds. The
-  // shared overload adopts an existing immutable snapshot without copying
-  // — the per-job fork path.
-  void PrimeDecomposition(TrussDecomposition decomposition);
-  void PrimeDecomposition(SharedTrussDecomposition decomposition);
-
-  // Cache instrumentation: how many times the decomposition was computed
-  // (at most 1) vs. served from cache.
-  uint32_t decomposition_builds() const { return decomposition_builds_; }
-  uint32_t decomposition_reuses() const { return decomposition_reuses_; }
-
- private:
-  const Graph* graph_;
-  SharedTrussDecomposition decomposition_;
-  uint32_t decomposition_builds_ = 0;
-  uint32_t decomposition_reuses_ = 0;
-};
-
-// Validates the fields of `options` every solver agrees on: budget within
-// [1, |E|], checkpoints (when provided) strictly ascending within [1,
-// budget] and ending at `budget`, threads >= 0. Solver-specific fields
-// (trials) are validated by the solver itself.
+// Validates the fields of `options` every edge-anchoring solver agrees on:
+// budget within [1, |E|], checkpoints (when provided) strictly ascending
+// within [1, budget] and ending at `budget`. Solve applies it (AKT bounds
+// the budget by |V| instead); solver-specific fields (trials) are
+// validated by the solver itself.
 Status ValidateSolverOptions(const Graph& g, const SolverOptions& options);
 
-// Variant for vertex-anchoring solvers (AKT): the budget is bounded by |V|
-// instead of |E|.
-Status ValidateVertexSolverOptions(const Graph& g,
-                                   const SolverOptions& options);
+// Runs solver `solver` on `g`. `anchor_free` must be the anchor-free truss
+// decomposition of `g`; it is only read. Unknown names return NotFound
+// listing the known solvers; malformed parameterized names (e.g. "akt:x")
+// return InvalidArgument, as do options the solver rejects.
+StatusOr<SolveResult> Solve(const Graph& g,
+                            const TrussDecomposition& anchor_free,
+                            const std::string& solver,
+                            const SolverOptions& options);
 
-// The checkpoint list a solve reports on: options.budget_checkpoints, or
-// {options.budget} when none were requested.
-std::vector<uint32_t> EffectiveCheckpoints(const SolverOptions& options);
+// The name check Solve applies first, without solving: OK for a known
+// name, otherwise the same NotFound / InvalidArgument status. Reads only
+// constant data; safe to call concurrently from any thread.
+Status CheckSolverName(const std::string& solver);
 
-// The solver interface. Implementations are stateless and cheap to create;
-// all per-run state lives in the SolverContext and on the stack.
-class Solver {
- public:
-  virtual ~Solver() = default;
+// The known names, sorted; the parameterized entry is listed as "akt:<k>".
+std::vector<std::string> KnownSolvers();
 
-  // Registry name of this solver ("gas", "akt:5", ...).
-  virtual std::string Name() const = 0;
-
-  // Solves against shared context state (preferred: AtrEngine keeps one
-  // context per graph so the decomposition is computed once).
-  virtual StatusOr<SolveResult> Solve(SolverContext& context,
-                                      const SolverOptions& options) const = 0;
-
-  // One-shot convenience: solves with a throwaway context.
-  StatusOr<SolveResult> Solve(const Graph& g,
-                              const SolverOptions& options) const;
-};
+// The result of a budget-`options.budget` greedy solve (base, base+, gas),
+// built from `rounds`, the rounds of one greedy walk at that budget or a
+// larger one. A greedy walk picks each round's anchor without looking at
+// the remaining budget, so its first b rounds are the budget-b solve: a
+// solo Solve and every member of a fused service batch (api/service.h)
+// take their results from this one function. `walk_stopped_early` is the
+// walk's flag; the result reports it only when the walk ended short of
+// options.budget, so a full-budget result is never marked as cut short.
+SolveResult GreedyResult(std::string solver, std::vector<AnchorRound> rounds,
+                         bool walk_stopped_early, double seconds,
+                         const SolverOptions& options);
 
 }  // namespace atr
 

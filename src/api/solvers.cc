@@ -1,15 +1,12 @@
-// Built-in solver adapters: every legacy entry point (RunBaseGreedy,
-// RunBasePlus, RunGas, RunExact, RunRandomBaseline, RunAkt) wrapped behind
-// the unified Solver interface, and the fixed name table SolverRegistry
-// resolves against.
+// atr::Solve: one parsed solver name dispatched to the core entry points
+// (RunBaseGreedy, RunBasePlus, RunGas, RunExact, RunRandomBaseline,
+// RunAkt), each result assembled into the unified SolveResult.
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "api/registry.h"
 #include "api/solver.h"
 #include "core/akt.h"
 #include "core/base_greedy.h"
@@ -17,264 +14,37 @@
 #include "core/exact.h"
 #include "core/gas.h"
 #include "core/random_baselines.h"
-#include "util/parallel_for.h"
 #include "util/timer.h"
 
 namespace atr {
 namespace {
 
-bool CancelRequested(const SolverOptions& options) {
-  return options.cancel != nullptr &&
-         options.cancel->load(std::memory_order_relaxed);
-}
-
-// Wires SolverOptions into the core GreedyControl: cancel flag and
-// wall-clock limit pass through; the progress callback (when set) is
-// adapted from GreedyProgress to SolveProgress under `name`. The returned
-// control captures `options` by reference — it must not outlive the Solve
-// call.
-GreedyControl MakeRoundControl(std::string name,
-                               const SolverOptions& options) {
-  GreedyControl control;
-  control.cancel = options.cancel;
-  control.wall_clock_limit_seconds = options.wall_clock_limit_seconds;
-  if (options.progress) {
-    control.on_round = [name = std::move(name),
-                        &options](const GreedyProgress& progress) {
-      SolveProgress event;
-      event.solver = name;
-      event.round = progress.round;
-      event.budget = progress.budget;
-      event.total_gain = progress.total_gain;
-      event.elapsed_seconds = progress.elapsed_seconds;
-      return options.progress(event);
-    };
-  }
-  return control;
-}
-
-// Gains of the greedy prefixes at each checkpoint (a budget-b greedy run
-// reports every intermediate budget for free — the paper's Fig. 6 sweeps).
-std::vector<uint64_t> PrefixGains(const std::vector<AnchorRound>& rounds,
-                                  const std::vector<uint32_t>& checkpoints) {
-  std::vector<uint64_t> gains;
-  gains.reserve(checkpoints.size());
-  for (uint32_t c : checkpoints) {
-    uint64_t gain = 0;
-    for (size_t r = 0; r < rounds.size() && r < c; ++r) {
-      gain += rounds[r].gain;
-    }
-    gains.push_back(gain);
-  }
-  return gains;
-}
-
-// BASE / BASE+ / GAS behind one adapter: identical contract, different
-// gain-computation engine (they must produce identical anchor sequences —
-// the api tests re-assert this through the registry).
-class GreedySolver : public Solver {
- public:
-  enum class Kind { kBase, kBasePlus, kGas };
-
-  GreedySolver(std::string name, Kind kind)
-      : name_(std::move(name)), kind_(kind) {}
-
-  std::string Name() const override { return name_; }
-
-  StatusOr<SolveResult> Solve(SolverContext& context,
-                              const SolverOptions& options) const override {
-    const Graph& g = context.graph();
-    Status status = ValidateSolverOptions(g, options);
-    if (!status.ok()) return status;
-
-    ScopedParallelism parallelism(options.threads);
-    const GreedyControl control = MakeRoundControl(name_, options);
-
-    // Round 1 of every greedy equals the cached anchor-free decomposition.
-    const TrussDecomposition& seed = context.Decomposition();
-    WallTimer timer;
-    AnchorResult run;
-    switch (kind_) {
-      case Kind::kBase:
-        run = RunBaseGreedy(g, options.budget, &control, &seed);
-        break;
-      case Kind::kBasePlus:
-        run = RunBasePlus(g, options.budget, &control, &seed);
-        break;
-      case Kind::kGas:
-        run = RunGas(g, options.budget, &control, &seed);
-        break;
-    }
-
-    SolveResult result;
-    result.solver = name_;
-    result.anchor_edges = std::move(run.anchors);
-    result.rounds = std::move(run.rounds);
-    result.total_gain = run.total_gain;
-    result.stopped_early = run.stopped_early;
-    result.seconds = timer.ElapsedSeconds();
-    for (const AnchorRound& round : result.rounds) {
-      result.fully_reusable += round.fully_reusable;
-      result.partially_reusable += round.partially_reusable;
-      result.non_reusable += round.non_reusable;
-    }
-    result.gain_at_checkpoint =
-        PrefixGains(result.rounds, EffectiveCheckpoints(options));
-    return result;
-  }
-
- private:
-  std::string name_;
-  Kind kind_;
+enum class SolverKind {
+  kBase, kBasePlus, kGas, kExact, kRand, kSup, kTur, kAkt
 };
 
-// Exact enumeration. Checkpoints are independent exhaustive runs (a
-// b-subset optimum is not a prefix of a (b+1)-subset optimum), which is
-// exactly the Fig. 5 usage: RunSweep("exact", {1, 2, 3}). Cancellation and
-// the wall-clock limit are checked between checkpoints only — a checkpoint
-// in flight always completes.
-class ExactSolver : public Solver {
- public:
-  std::string Name() const override { return "exact"; }
-
-  StatusOr<SolveResult> Solve(SolverContext& context,
-                              const SolverOptions& options) const override {
-    const Graph& g = context.graph();
-    Status status = ValidateSolverOptions(g, options);
-    if (!status.ok()) return status;
-
-    ScopedParallelism parallelism(options.threads);
-    // Fetch the shared decomposition before the timer so `seconds` means
-    // the same thing for every adapter: solve time on warm shared state.
-    const TrussDecomposition& base = context.Decomposition();
-    WallTimer timer;
-    SolveResult result;
-    result.solver = Name();
-    const std::vector<uint32_t> checkpoints = EffectiveCheckpoints(options);
-    for (size_t c = 0; c < checkpoints.size(); ++c) {
-      if (CancelRequested(options) ||
-          (options.wall_clock_limit_seconds > 0.0 && c > 0 &&
-           timer.ElapsedSeconds() >= options.wall_clock_limit_seconds)) {
-        result.stopped_early = true;
-        break;
-      }
-      const ExactResult exact = RunExact(g, checkpoints[c], &base);
-      result.gain_at_checkpoint.push_back(exact.gain);
-      result.subsets_evaluated += exact.subsets_evaluated;
-      result.anchor_edges = exact.anchors;
-      result.total_gain = exact.gain;
-      if (options.progress) {
-        SolveProgress event;
-        event.solver = Name();
-        event.round = static_cast<uint32_t>(c + 1);
-        event.budget = options.budget;
-        event.total_gain = exact.gain;
-        event.elapsed_seconds = timer.ElapsedSeconds();
-        if (!options.progress(event)) {
-          result.stopped_early = true;
-          break;
-        }
-      }
-    }
-    result.seconds = timer.ElapsedSeconds();
-    return result;
-  }
+struct NamedSolver {
+  const char* name;
+  SolverKind kind;
 };
 
-// Rand / Sup / Tur randomized baselines (best of `trials` draws).
-class RandomSolver : public Solver {
- public:
-  RandomSolver(std::string name, RandomPoolKind kind)
-      : name_(std::move(name)), kind_(kind) {}
-
-  std::string Name() const override { return name_; }
-
-  StatusOr<SolveResult> Solve(SolverContext& context,
-                              const SolverOptions& options) const override {
-    const Graph& g = context.graph();
-    Status status = ValidateSolverOptions(g, options);
-    if (!status.ok()) return status;
-
-    ScopedParallelism parallelism(options.threads);
-    // Trials are not rounds: only the cancel flag and wall-clock limit
-    // apply (checked between trials on every worker).
-    GreedyControl control;
-    control.cancel = options.cancel;
-    control.wall_clock_limit_seconds = options.wall_clock_limit_seconds;
-    const TrussDecomposition& base = context.Decomposition();
-    WallTimer timer;
-    StatusOr<RandomBaselineResult> run = RunRandomBaseline(
-        g, base, kind_, EffectiveCheckpoints(options), options.trials,
-        options.seed, &control);
-    if (!run.ok()) return run.status();
-
-    SolveResult result;
-    result.solver = name_;
-    result.anchor_edges = std::move(run->best_anchors);
-    result.total_gain = run->best_gain;
-    result.gain_at_checkpoint = std::move(run->gain_at_checkpoint);
-    result.trials = run->trials;
-    result.stopped_early = run->stopped_early;
-    result.seconds = timer.ElapsedSeconds();
-    if (options.progress) {
-      SolveProgress event;
-      event.solver = name_;
-      event.round = static_cast<uint32_t>(result.gain_at_checkpoint.size());
-      event.budget = options.budget;
-      event.total_gain = result.total_gain;
-      event.elapsed_seconds = result.seconds;
-      options.progress(event);  // run already finished; result unaffected
-    }
-    return result;
-  }
-
- private:
-  std::string name_;
-  RandomPoolKind kind_;
-};
-
-// AKT vertex anchoring at a fixed level k ("akt:<k>").
-class AktSolver : public Solver {
- public:
-  explicit AktSolver(uint32_t k) : k_(k) {}
-
-  std::string Name() const override { return "akt:" + std::to_string(k_); }
-
-  StatusOr<SolveResult> Solve(SolverContext& context,
-                              const SolverOptions& options) const override {
-    const Graph& g = context.graph();
-    Status status = ValidateVertexSolverOptions(g, options);
-    if (!status.ok()) return status;
-
-    ScopedParallelism parallelism(options.threads);
-    const GreedyControl control = MakeRoundControl(Name(), options);
-
-    const TrussDecomposition& base = context.Decomposition();
-    WallTimer timer;
-    SolveResult result;
-    result.solver = Name();
-    const AktResult run = RunAkt(g, base, k_, options.budget, &control);
-    result.anchor_vertices = run.anchors;
-    result.total_gain = run.total_gain;
-    result.stopped_early = run.stopped_early;
-    for (uint32_t c : EffectiveCheckpoints(options)) {
-      const uint64_t gain =
-          run.gain_after.empty()
-              ? 0
-              : run.gain_after[std::min<size_t>(c, run.gain_after.size()) - 1];
-      result.gain_at_checkpoint.push_back(gain);
-    }
-    result.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-
- private:
-  uint32_t k_;
+// The exact names; "akt:<k>" is parsed separately.
+constexpr NamedSolver kNamedSolvers[] = {
+    {"base", SolverKind::kBase},   {"base+", SolverKind::kBasePlus},
+    {"gas", SolverKind::kGas},     {"exact", SolverKind::kExact},
+    {"rand", SolverKind::kRand},   {"sup", SolverKind::kSup},
+    {"tur", SolverKind::kTur},
 };
 
 constexpr char kAktPrefix[] = "akt:";
 
-StatusOr<std::unique_ptr<Solver>> MakeAktSolver(const std::string& name) {
+struct ParsedSolver {
+  SolverKind kind = SolverKind::kBase;
+  std::string name;   // reported name; "akt:<k>" with k in canonical form
+  uint32_t akt_k = 0;  // kAkt only
+};
+
+StatusOr<ParsedSolver> ParseAkt(const std::string& name) {
   // name is "akt:<k>"; the prefix match guarantees the "akt:" head.
   const std::string param = name.substr(sizeof(kAktPrefix) - 1);
   if (param.empty() ||
@@ -295,50 +65,24 @@ StatusOr<std::unique_ptr<Solver>> MakeAktSolver(const std::string& name) {
     return Status::InvalidArgument(
         "akt solver: k must satisfy 3 <= k (got \"" + name + "\")");
   }
-  return std::unique_ptr<Solver>(
-      std::make_unique<AktSolver>(static_cast<uint32_t>(k)));
+  ParsedSolver parsed;
+  parsed.kind = SolverKind::kAkt;
+  parsed.name = kAktPrefix + std::to_string(k);
+  parsed.akt_k = static_cast<uint32_t>(k);
+  return parsed;
 }
 
-// The built-in solver table: exact names, plus "akt:<k>" parsed by
-// MakeAktSolver.
-struct BuiltinSolver {
-  const char* name;
-  std::unique_ptr<Solver> (*make)(const char* name);
-};
-
-template <GreedySolver::Kind kKind>
-std::unique_ptr<Solver> MakeGreedySolver(const char* name) {
-  return std::make_unique<GreedySolver>(name, kKind);
-}
-
-template <RandomPoolKind kKind>
-std::unique_ptr<Solver> MakeRandomSolver(const char* name) {
-  return std::make_unique<RandomSolver>(name, kKind);
-}
-
-std::unique_ptr<Solver> MakeExactSolver(const char*) {
-  return std::make_unique<ExactSolver>();
-}
-
-constexpr BuiltinSolver kBuiltinSolvers[] = {
-    {"base", MakeGreedySolver<GreedySolver::Kind::kBase>},
-    {"base+", MakeGreedySolver<GreedySolver::Kind::kBasePlus>},
-    {"gas", MakeGreedySolver<GreedySolver::Kind::kGas>},
-    {"exact", MakeExactSolver},
-    {"rand", MakeRandomSolver<RandomPoolKind::kAllEdges>},
-    {"sup", MakeRandomSolver<RandomPoolKind::kTopSupport>},
-    {"tur", MakeRandomSolver<RandomPoolKind::kTopRouteSize>},
-};
-
-}  // namespace
-
-StatusOr<std::unique_ptr<Solver>> SolverRegistry::Create(
-    const std::string& name) {
-  for (const BuiltinSolver& builtin : kBuiltinSolvers) {
-    if (name == builtin.name) return builtin.make(builtin.name);
+StatusOr<ParsedSolver> ParseSolverName(const std::string& name) {
+  for (const NamedSolver& named : kNamedSolvers) {
+    if (name == named.name) {
+      ParsedSolver parsed;
+      parsed.kind = named.kind;
+      parsed.name = named.name;
+      return parsed;
+    }
   }
   if (name.compare(0, sizeof(kAktPrefix) - 1, kAktPrefix) == 0) {
-    return MakeAktSolver(name);
+    return ParseAkt(name);
   }
   std::string known;
   for (const std::string& s : KnownSolvers()) {
@@ -349,11 +93,297 @@ StatusOr<std::unique_ptr<Solver>> SolverRegistry::Create(
                           ")");
 }
 
-std::vector<std::string> SolverRegistry::KnownSolvers() {
-  std::vector<std::string> names;
-  for (const BuiltinSolver& builtin : kBuiltinSolvers) {
-    names.push_back(builtin.name);
+Status ValidateOptionsWithBudgetLimit(const Graph& g,
+                                      const SolverOptions& options,
+                                      uint32_t budget_limit,
+                                      const char* limit_name) {
+  if (g.NumEdges() == 0) {
+    return Status::InvalidArgument("solver options: graph has no edges");
   }
+  if (options.budget < 1 || options.budget > budget_limit) {
+    return Status::InvalidArgument(
+        "solver options: budget must satisfy 1 <= budget <= " +
+        std::string(limit_name) + " (budget = " +
+        std::to_string(options.budget) + ", " + limit_name + " = " +
+        std::to_string(budget_limit) + ")");
+  }
+  const std::vector<uint32_t>& cps = options.budget_checkpoints;
+  if (!cps.empty()) {
+    for (size_t i = 1; i < cps.size(); ++i) {
+      if (cps[i] <= cps[i - 1]) {
+        return Status::InvalidArgument(
+            "solver options: budget_checkpoints must be strictly ascending");
+      }
+    }
+    if (cps.front() < 1) {
+      return Status::InvalidArgument(
+          "solver options: budget_checkpoints must start at >= 1");
+    }
+    if (cps.back() != options.budget) {
+      return Status::InvalidArgument(
+          "solver options: the last checkpoint (" +
+          std::to_string(cps.back()) + ") must equal budget (" +
+          std::to_string(options.budget) + ")");
+    }
+  }
+  if (options.wall_clock_limit_seconds < 0.0) {
+    return Status::InvalidArgument(
+        "solver options: wall_clock_limit_seconds must be >= 0");
+  }
+  return Status::Ok();
+}
+
+// AKT anchors vertices: its budget is bounded by |V| instead of |E|.
+Status ValidateVertexSolverOptions(const Graph& g,
+                                   const SolverOptions& options) {
+  return ValidateOptionsWithBudgetLimit(g, options, g.NumVertices(), "|V|");
+}
+
+// The checkpoint list a solve reports on: options.budget_checkpoints, or
+// {options.budget} when none were requested.
+std::vector<uint32_t> EffectiveCheckpoints(const SolverOptions& options) {
+  if (!options.budget_checkpoints.empty()) return options.budget_checkpoints;
+  return {options.budget};
+}
+
+bool CancelRequested(const SolverOptions& options) {
+  return options.cancel != nullptr &&
+         options.cancel->load(std::memory_order_relaxed);
+}
+
+// Wires SolverOptions into the core GreedyControl: cancel flag and
+// wall-clock limit pass through; the progress callback (when set) is
+// adapted from GreedyProgress to SolveProgress under `name`. The returned
+// control captures `options` by reference — it must not outlive the Solve
+// call.
+GreedyControl MakeRoundControl(const std::string& name,
+                               const SolverOptions& options) {
+  GreedyControl control;
+  control.cancel = options.cancel;
+  control.wall_clock_limit_seconds = options.wall_clock_limit_seconds;
+  if (options.progress) {
+    control.on_round = [name, &options](const GreedyProgress& progress) {
+      SolveProgress event;
+      event.solver = name;
+      event.round = progress.round;
+      event.budget = progress.budget;
+      event.total_gain = progress.total_gain;
+      event.elapsed_seconds = progress.elapsed_seconds;
+      return options.progress(event);
+    };
+  }
+  return control;
+}
+
+// BASE / BASE+ / GAS: one contract, three gain-computation engines (they
+// must produce identical anchor sequences — greedy_equivalence_test).
+// Round 1 of every greedy starts from the anchor-free decomposition.
+StatusOr<SolveResult> SolveGreedy(const Graph& g,
+                                  const TrussDecomposition& anchor_free,
+                                  const ParsedSolver& solver,
+                                  const SolverOptions& options) {
+  Status status = ValidateSolverOptions(g, options);
+  if (!status.ok()) return status;
+
+  const GreedyControl control = MakeRoundControl(solver.name, options);
+  WallTimer timer;
+  AnchorResult run;
+  if (solver.kind == SolverKind::kBase) {
+    run = RunBaseGreedy(g, options.budget, &control, &anchor_free);
+  } else if (solver.kind == SolverKind::kBasePlus) {
+    run = RunBasePlus(g, options.budget, &control, &anchor_free);
+  } else {
+    run = RunGas(g, options.budget, &control, &anchor_free);
+  }
+  return GreedyResult(solver.name, std::move(run.rounds), run.stopped_early,
+                      timer.ElapsedSeconds(), options);
+}
+
+// Exact enumeration. Checkpoints are independent exhaustive runs (a
+// b-subset optimum is not a prefix of a (b+1)-subset optimum), which is
+// exactly the Fig. 5 usage: RunSweep("exact", {1, 2, 3}). Cancellation and
+// the wall-clock limit are checked between checkpoints only — a checkpoint
+// in flight always completes.
+StatusOr<SolveResult> SolveExact(const Graph& g,
+                                 const TrussDecomposition& anchor_free,
+                                 const ParsedSolver& solver,
+                                 const SolverOptions& options) {
+  Status status = ValidateSolverOptions(g, options);
+  if (!status.ok()) return status;
+
+  WallTimer timer;
+  SolveResult result;
+  result.solver = solver.name;
+  const std::vector<uint32_t> checkpoints = EffectiveCheckpoints(options);
+  for (size_t c = 0; c < checkpoints.size(); ++c) {
+    if (CancelRequested(options) ||
+        (options.wall_clock_limit_seconds > 0.0 && c > 0 &&
+         timer.ElapsedSeconds() >= options.wall_clock_limit_seconds)) {
+      result.stopped_early = true;
+      break;
+    }
+    const ExactResult exact = RunExact(g, checkpoints[c], &anchor_free);
+    result.gain_at_checkpoint.push_back(exact.gain);
+    result.subsets_evaluated += exact.subsets_evaluated;
+    result.anchor_edges = exact.anchors;
+    result.total_gain = exact.gain;
+    if (options.progress) {
+      SolveProgress event;
+      event.solver = solver.name;
+      event.round = static_cast<uint32_t>(c + 1);
+      event.budget = options.budget;
+      event.total_gain = exact.gain;
+      event.elapsed_seconds = timer.ElapsedSeconds();
+      if (!options.progress(event) && c + 1 < checkpoints.size()) {
+        result.stopped_early = true;
+        break;
+      }
+    }
+  }
+  result.seconds = timer.ElapsedSeconds();
+  return result;
+}
+
+// Rand / Sup / Tur randomized baselines (best of `trials` draws).
+StatusOr<SolveResult> SolveRandom(const Graph& g,
+                                  const TrussDecomposition& anchor_free,
+                                  const ParsedSolver& solver,
+                                  const SolverOptions& options) {
+  Status status = ValidateSolverOptions(g, options);
+  if (!status.ok()) return status;
+
+  const RandomPoolKind pool = solver.kind == SolverKind::kRand
+                                  ? RandomPoolKind::kAllEdges
+                              : solver.kind == SolverKind::kSup
+                                  ? RandomPoolKind::kTopSupport
+                                  : RandomPoolKind::kTopRouteSize;
+  // Trials are not rounds: only the cancel flag and wall-clock limit
+  // apply (checked between trials on every worker).
+  GreedyControl control;
+  control.cancel = options.cancel;
+  control.wall_clock_limit_seconds = options.wall_clock_limit_seconds;
+  WallTimer timer;
+  StatusOr<RandomBaselineResult> run =
+      RunRandomBaseline(g, anchor_free, pool, EffectiveCheckpoints(options),
+                        options.trials, options.seed, &control);
+  if (!run.ok()) return run.status();
+
+  SolveResult result;
+  result.solver = solver.name;
+  result.anchor_edges = std::move(run->best_anchors);
+  result.total_gain = run->best_gain;
+  result.gain_at_checkpoint = std::move(run->gain_at_checkpoint);
+  result.trials = run->trials;
+  result.stopped_early = run->stopped_early;
+  result.seconds = timer.ElapsedSeconds();
+  if (options.progress) {
+    SolveProgress event;
+    event.solver = solver.name;
+    event.round = static_cast<uint32_t>(result.gain_at_checkpoint.size());
+    event.budget = options.budget;
+    event.total_gain = result.total_gain;
+    event.elapsed_seconds = result.seconds;
+    options.progress(event);  // run already finished; result unaffected
+  }
+  return result;
+}
+
+// AKT vertex anchoring at a fixed level k ("akt:<k>").
+StatusOr<SolveResult> SolveAkt(const Graph& g,
+                               const TrussDecomposition& anchor_free,
+                               const ParsedSolver& solver,
+                               const SolverOptions& options) {
+  Status status = ValidateVertexSolverOptions(g, options);
+  if (!status.ok()) return status;
+
+  const GreedyControl control = MakeRoundControl(solver.name, options);
+  WallTimer timer;
+  SolveResult result;
+  result.solver = solver.name;
+  const AktResult run =
+      RunAkt(g, anchor_free, solver.akt_k, options.budget, &control);
+  result.anchor_vertices = run.anchors;
+  result.total_gain = run.total_gain;
+  result.stopped_early = run.stopped_early;
+  for (uint32_t c : EffectiveCheckpoints(options)) {
+    const uint64_t gain =
+        run.gain_after.empty()
+            ? 0
+            : run.gain_after[std::min<size_t>(c, run.gain_after.size()) - 1];
+    result.gain_at_checkpoint.push_back(gain);
+  }
+  result.seconds = timer.ElapsedSeconds();
+  return result;
+}
+
+}  // namespace
+
+Status ValidateSolverOptions(const Graph& g, const SolverOptions& options) {
+  return ValidateOptionsWithBudgetLimit(g, options, g.NumEdges(), "|E|");
+}
+
+SolveResult GreedyResult(std::string solver, std::vector<AnchorRound> rounds,
+                         bool walk_stopped_early, double seconds,
+                         const SolverOptions& options) {
+  if (rounds.size() > options.budget) rounds.resize(options.budget);
+  SolveResult result;
+  result.solver = std::move(solver);
+  result.rounds = std::move(rounds);
+  for (const AnchorRound& round : result.rounds) {
+    result.anchor_edges.push_back(round.anchor);
+    result.total_gain += round.gain;
+    result.fully_reusable += round.fully_reusable;
+    result.partially_reusable += round.partially_reusable;
+    result.non_reusable += round.non_reusable;
+  }
+  // Gains of the greedy prefixes at each checkpoint (a budget-b greedy run
+  // reports every intermediate budget for free — the paper's Fig. 6
+  // sweeps).
+  for (uint32_t c : EffectiveCheckpoints(options)) {
+    uint64_t gain = 0;
+    for (size_t r = 0; r < result.rounds.size() && r < c; ++r) {
+      gain += result.rounds[r].gain;
+    }
+    result.gain_at_checkpoint.push_back(gain);
+  }
+  // A walk that ran out of eligible candidates is natural exhaustion, not
+  // an early stop (the core does not flag it).
+  result.stopped_early =
+      walk_stopped_early && result.rounds.size() < options.budget;
+  result.seconds = seconds;
+  return result;
+}
+
+StatusOr<SolveResult> Solve(const Graph& g,
+                            const TrussDecomposition& anchor_free,
+                            const std::string& solver,
+                            const SolverOptions& options) {
+  StatusOr<ParsedSolver> parsed = ParseSolverName(solver);
+  if (!parsed.ok()) return parsed.status();
+  switch (parsed->kind) {
+    case SolverKind::kBase:
+    case SolverKind::kBasePlus:
+    case SolverKind::kGas:
+      return SolveGreedy(g, anchor_free, *parsed, options);
+    case SolverKind::kExact:
+      return SolveExact(g, anchor_free, *parsed, options);
+    case SolverKind::kRand:
+    case SolverKind::kSup:
+    case SolverKind::kTur:
+      return SolveRandom(g, anchor_free, *parsed, options);
+    case SolverKind::kAkt:
+      break;
+  }
+  return SolveAkt(g, anchor_free, *parsed, options);
+}
+
+Status CheckSolverName(const std::string& solver) {
+  return ParseSolverName(solver).status();
+}
+
+std::vector<std::string> KnownSolvers() {
+  std::vector<std::string> names;
+  for (const NamedSolver& named : kNamedSolvers) names.push_back(named.name);
   names.push_back(std::string(kAktPrefix) + "<k>");
   std::sort(names.begin(), names.end());
   return names;

@@ -197,7 +197,8 @@ AktResult RunAkt(const Graph& g, const TrussDecomposition& decomp, uint32_t k,
       progress.total_gain = current_gain;
       progress.elapsed_seconds = timer.ElapsedSeconds();
       if (!control->on_round(progress)) {
-        result.stopped_early = true;
+        // A declined callback after the last round cut nothing short.
+        if (round + 1 < budget) result.stopped_early = true;
         break;
       }
     }

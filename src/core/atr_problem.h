@@ -85,8 +85,8 @@ struct GreedyControl {
 
 // Delivers the just-completed round (result.rounds.back()) to
 // `control->on_round` when one is set, recording an early stop on `result`
-// if the callback declined to continue. Returns true when the run may
-// proceed to the next round.
+// if the callback declined to continue before the budget was reached.
+// Returns true when the run may proceed to the next round.
 inline bool NotifyRound(const GreedyControl* control, uint32_t budget,
                         AnchorResult& result) {
   if (control == nullptr || !control->on_round) return true;
@@ -99,7 +99,7 @@ inline bool NotifyRound(const GreedyControl* control, uint32_t budget,
   progress.total_gain = result.total_gain;
   progress.elapsed_seconds = round.cumulative_seconds;
   if (control->on_round(progress)) return true;
-  result.stopped_early = true;
+  if (result.rounds.size() < budget) result.stopped_early = true;
   return false;
 }
 

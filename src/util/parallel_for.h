@@ -20,9 +20,10 @@ namespace atr {
 int ParallelWorkerCount();
 
 // RAII worker-count override for ParallelFor calls made from the
-// constructing thread (the API layer's SolverOptions::threads). A
-// non-positive `threads` leaves the current setting untouched; overrides
-// nest and are restored in destruction order.
+// constructing thread (FairScheduler workers install one per job; callers
+// of atr::Solve may install their own). A non-positive `threads` leaves
+// the current setting untouched; overrides nest and are restored in
+// destruction order.
 class ScopedParallelism {
  public:
   explicit ScopedParallelism(int threads);

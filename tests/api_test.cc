@@ -1,7 +1,7 @@
-// Tests for the unified solver API: registry lookup, options validation,
-// AtrEngine decomposition-cache reuse, sweeps, cancellation, and the
+// Tests for the unified solver API: name checks, options validation,
+// AtrEngine's build-once decomposition, sweeps, cancellation, and the
 // BASE / BASE+ / GAS identical-anchor-sequence property exercised through
-// the registry.
+// atr::Solve.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "api/engine.h"
-#include "api/registry.h"
 #include "api/solver.h"
 #include "core/gas.h"
 #include "tests/paper_fixtures.h"
@@ -20,26 +19,33 @@
 namespace atr {
 namespace {
 
-SolveResult MustSolve(const std::string& name, const Graph& g,
-                      const SolverOptions& options) {
-  StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create(name);
-  EXPECT_TRUE(solver.ok()) << solver.status().message();
-  StatusOr<SolveResult> result = (*solver)->Solve(g, options);
-  EXPECT_TRUE(result.ok()) << result.status().message();
-  return *std::move(result);
+StatusOr<SolveResult> SolveOnce(const std::string& name, const Graph& g,
+                                const SolverOptions& options) {
+  return Solve(g, ComputeTrussDecomposition(g), name, options);
 }
 
-TEST(Registry, CreatesEveryBuiltinSolver) {
+SolveResult MustSolve(const std::string& name, const Graph& g,
+                      const SolverOptions& options) {
+  StatusOr<SolveResult> result = SolveOnce(name, g, options);
+  EXPECT_TRUE(result.ok()) << name << ": " << result.status().message();
+  return result.ok() ? *std::move(result) : SolveResult{};
+}
+
+TEST(SolverNames, EveryBuiltinNameSolves) {
+  const Graph g = MakeFig3Graph();
+  SolverOptions options;
+  options.budget = 1;
+  options.trials = 5;
   for (const char* name :
        {"base", "base+", "gas", "exact", "rand", "sup", "tur", "akt:4"}) {
-    StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create(name);
-    ASSERT_TRUE(solver.ok()) << name << ": " << solver.status().message();
-    EXPECT_EQ((*solver)->Name(), name);
+    EXPECT_TRUE(CheckSolverName(name).ok()) << name;
+    EXPECT_EQ(MustSolve(name, g, options).solver, name);
   }
 }
 
-TEST(Registry, KnownSolversListsTheBuiltins) {
-  const std::vector<std::string> names = SolverRegistry::KnownSolvers();
+TEST(SolverNames, KnownSolversListsTheBuiltins) {
+  const std::vector<std::string> names = KnownSolvers();
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const char* expected :
        {"base", "base+", "gas", "exact", "rand", "sup", "tur", "akt:<k>"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
@@ -47,10 +53,10 @@ TEST(Registry, KnownSolversListsTheBuiltins) {
   }
 }
 
-// Lookup is thread-safe: concurrent Create / KnownSolvers calls from many
-// threads must neither race nor miss solvers. Run under TSan in the
-// nightly leg.
-TEST(Registry, ConcurrentCreateAndKnownSolversAreSafe) {
+// Name checks are thread-safe: concurrent CheckSolverName / KnownSolvers
+// calls from many threads must neither race nor miss solvers. Run under
+// TSan in CI.
+TEST(SolverNames, ConcurrentNameChecksAndKnownSolversAreSafe) {
   constexpr int kThreads = 8;
   constexpr int kIters = 50;
   std::vector<std::thread> threads;
@@ -60,12 +66,12 @@ TEST(Registry, ConcurrentCreateAndKnownSolversAreSafe) {
     threads.emplace_back([&failures] {
       for (int i = 0; i < kIters; ++i) {
         for (const char* name : {"gas", "base+", "akt:5", "rand"}) {
-          if (!SolverRegistry::Create(name).ok()) failures.fetch_add(1);
+          if (!CheckSolverName(name).ok()) failures.fetch_add(1);
         }
-        if (SolverRegistry::Create("missing-" + std::to_string(i)).ok()) {
+        if (CheckSolverName("missing-" + std::to_string(i)).ok()) {
           failures.fetch_add(1);
         }
-        const std::vector<std::string> known = SolverRegistry::KnownSolvers();
+        const std::vector<std::string> known = KnownSolvers();
         if (std::find(known.begin(), known.end(), "gas") == known.end()) {
           failures.fetch_add(1);
         }
@@ -76,60 +82,62 @@ TEST(Registry, ConcurrentCreateAndKnownSolversAreSafe) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Registry, UnknownNameIsNotFound) {
-  StatusOr<std::unique_ptr<Solver>> solver =
-      SolverRegistry::Create("does-not-exist");
-  ASSERT_FALSE(solver.ok());
-  EXPECT_EQ(solver.status().code(), StatusCode::kNotFound);
-  // The error lists the known solvers to aid discovery.
-  EXPECT_NE(solver.status().message().find("gas"), std::string::npos);
+TEST(SolverNames, UnknownNameIsNotFound) {
+  const Graph g = MakeFig3Graph();
+  for (const Status& status :
+       {CheckSolverName("does-not-exist"),
+        SolveOnce("does-not-exist", g, SolverOptions{}).status()}) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kNotFound);
+    // The error lists the known solvers to aid discovery.
+    EXPECT_NE(status.message().find("gas"), std::string::npos);
+  }
 }
 
-TEST(Registry, MalformedAktParameterIsInvalidArgument) {
+TEST(SolverNames, MalformedAktParameterIsInvalidArgument) {
+  const Graph g = MakeFig3Graph();
   for (const char* name : {"akt:", "akt:x", "akt:2", "akt:4x", "akt:-3"}) {
-    StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create(name);
-    ASSERT_FALSE(solver.ok()) << name;
-    EXPECT_EQ(solver.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_EQ(CheckSolverName(name).code(), StatusCode::kInvalidArgument)
+        << name;
+    EXPECT_EQ(SolveOnce(name, g, SolverOptions{}).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
   }
 }
 
 TEST(Options, BudgetOutOfRangeIsRejected) {
   const Graph g = MakeFig3Graph();
-  StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create("gas");
-  ASSERT_TRUE(solver.ok());
 
   SolverOptions zero;
   zero.budget = 0;
-  EXPECT_EQ((*solver)->Solve(g, zero).status().code(),
+  EXPECT_EQ(SolveOnce("gas", g, zero).status().code(),
             StatusCode::kInvalidArgument);
 
   SolverOptions huge;
   huge.budget = g.NumEdges() + 1;
-  EXPECT_EQ((*solver)->Solve(g, huge).status().code(),
+  EXPECT_EQ(SolveOnce("gas", g, huge).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(Options, CheckpointRulesAreEnforced) {
   const Graph g = MakeFig3Graph();
-  StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create("gas");
-  ASSERT_TRUE(solver.ok());
 
   SolverOptions not_ascending;
   not_ascending.budget = 4;
   not_ascending.budget_checkpoints = {2, 2, 4};
-  EXPECT_EQ((*solver)->Solve(g, not_ascending).status().code(),
+  EXPECT_EQ(SolveOnce("gas", g, not_ascending).status().code(),
             StatusCode::kInvalidArgument);
 
   SolverOptions wrong_tail;
   wrong_tail.budget = 4;
   wrong_tail.budget_checkpoints = {1, 3};
-  EXPECT_EQ((*solver)->Solve(g, wrong_tail).status().code(),
+  EXPECT_EQ(SolveOnce("gas", g, wrong_tail).status().code(),
             StatusCode::kInvalidArgument);
 
   SolverOptions ok;
   ok.budget = 4;
   ok.budget_checkpoints = {1, 2, 4};
-  EXPECT_TRUE((*solver)->Solve(g, ok).ok());
+  EXPECT_TRUE(SolveOnce("gas", g, ok).ok());
 }
 
 TEST(Options, RandomBaselineRejectsZeroTrials) {
@@ -137,13 +145,11 @@ TEST(Options, RandomBaselineRejectsZeroTrials) {
   SolverOptions options;
   options.budget = 2;
   options.trials = 0;
-  StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create("rand");
-  ASSERT_TRUE(solver.ok());
-  EXPECT_EQ((*solver)->Solve(g, options).status().code(),
+  EXPECT_EQ(SolveOnce("rand", g, options).status().code(),
             StatusCode::kInvalidArgument);
 }
 
-TEST(Api, GasThroughRegistryMatchesDirectCall) {
+TEST(Api, GasThroughSolveMatchesDirectCall) {
   const Graph g = MakeFig3Graph();
   SolverOptions options;
   options.budget = 3;
@@ -247,7 +253,6 @@ TEST(Engine, DecompositionIsComputedOnceAcrossSolvers) {
   ASSERT_TRUE(engine.Run("exact", options).ok());
   engine.Decomposition();
   EXPECT_EQ(engine.decomposition_builds(), 1u);
-  EXPECT_GE(engine.decomposition_reuses(), 5u);
 }
 
 TEST(Api, AktHonorsCancellationBetweenRounds) {
@@ -257,12 +262,36 @@ TEST(Api, AktHonorsCancellationBetweenRounds) {
   options.progress = [](const SolveProgress& progress) {
     return progress.round < 1;  // stop after the first vertex
   };
-  StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create("akt:4");
-  ASSERT_TRUE(solver.ok());
-  StatusOr<SolveResult> result = (*solver)->Solve(g, options);
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_TRUE(result->stopped_early);
-  EXPECT_EQ(result->anchor_vertices.size(), 1u);
+  const SolveResult akt = MustSolve("akt:4", g, options);
+  EXPECT_TRUE(akt.stopped_early);
+  EXPECT_EQ(akt.anchor_vertices.size(), 1u);
+}
+
+// A progress callback that declines to continue after the LAST round cut
+// nothing short: the result is the full budget and is not marked
+// stopped_early (a JobHandle::Cancel landing in a job's final round takes
+// the same path).
+TEST(Api, FullBudgetResultIsNeverStoppedEarly) {
+  AtrEngine engine(MakeFig3Graph());
+  for (const char* solver : {"base", "base+", "gas", "akt:4", "exact"}) {
+    SolverOptions options;
+    options.budget = 2;
+    if (std::string(solver) == "exact") options.budget_checkpoints = {1, 2};
+    options.progress = [](const SolveProgress& progress) {
+      return progress.round < 2;  // decline after round 2 = the last one
+    };
+    StatusOr<SolveResult> result = engine.Run(solver, options);
+    ASSERT_TRUE(result.ok()) << solver << ": " << result.status().message();
+    EXPECT_FALSE(result->stopped_early) << solver;
+    if (std::string(solver) == "akt:4") {
+      EXPECT_EQ(result->anchor_vertices.size(), 2u) << solver;
+    } else if (std::string(solver) == "exact") {
+      EXPECT_EQ(result->gain_at_checkpoint.size(), 2u) << solver;
+    } else {
+      EXPECT_EQ(result->anchor_edges.size(), 2u) << solver;
+      EXPECT_EQ(result->rounds.size(), 2u) << solver;
+    }
+  }
 }
 
 // SolverOptions::cancel raised mid-run (from the progress callback after
@@ -324,9 +353,7 @@ TEST(Api, SupBudgetBeyondPoolIsRejected) {
   const Graph g = MakeFig3Graph();
   SolverOptions options;
   options.budget = g.NumEdges();  // valid vs |E|, far beyond the 20% pool
-  StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create("sup");
-  ASSERT_TRUE(solver.ok());
-  EXPECT_EQ((*solver)->Solve(g, options).status().code(),
+  EXPECT_EQ(SolveOnce("sup", g, options).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -338,9 +365,8 @@ TEST(Engine, PrimedDecompositionIsNeverRecomputed) {
   options.budget = 2;
   ASSERT_TRUE(engine.Run("akt:4", options).ok());
   ASSERT_TRUE(engine.Run("sup", options).ok());
-  EXPECT_EQ(engine.decomposition_builds(), 0u);
-  EXPECT_GE(engine.decomposition_reuses(), 2u);
   EXPECT_EQ(engine.MaxTrussness(), decomp.max_trussness);
+  EXPECT_EQ(engine.decomposition_builds(), 0u);
 }
 
 TEST(Engine, RunSweepReportsPrefixGains) {
@@ -373,15 +399,19 @@ TEST(Engine, UnknownSolverNameFlowsBackAsStatus) {
   options.budget = 1;
   EXPECT_EQ(engine.Run("nope", options).status().code(),
             StatusCode::kNotFound);
+  EXPECT_EQ(engine.Run("akt:x", options).status().code(),
+            StatusCode::kInvalidArgument);
+  // A name that cannot run never pays for the decomposition.
+  EXPECT_EQ(engine.decomposition_builds(), 0u);
 }
 
-// The repository's central property, exercised end-to-end through the
-// registry: BASE, BASE+, and GAS are one greedy algorithm and must select
+// The repository's central property, exercised end-to-end through
+// atr::Solve: BASE, BASE+, and GAS are one greedy algorithm and must select
 // identical anchor sequences with identical per-round gains.
-class RegistryEquivalenceProperty : public ::testing::TestWithParam<uint64_t> {
+class SolveEquivalenceProperty : public ::testing::TestWithParam<uint64_t> {
 };
 
-TEST_P(RegistryEquivalenceProperty, BaseBasePlusGasAgreeThroughRegistry) {
+TEST_P(SolveEquivalenceProperty, BaseBasePlusGasAgreeThroughSolve) {
   const uint64_t seed = GetParam();
   const Graph g = MakePropertyGraph(seed);
   SolverOptions options;
@@ -420,7 +450,7 @@ TEST_P(RegistryEquivalenceProperty, BaseBasePlusGasAgreeThroughRegistry) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RegistryEquivalenceProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, SolveEquivalenceProperty,
                          ::testing::Range<uint64_t>(0, 8));
 
 }  // namespace

@@ -2,13 +2,12 @@
 // BASE+ (upward-route search) and GAS (route search + tree reuse) are three
 // implementations of the same greedy algorithm and must select identical
 // anchor sequences with identical per-round gains. All solvers run through
-// the unified registry API (api/registry.h) — the same code path benches
-// and services use. Also checks the reported total gain against an
-// independent anchored re-decomposition.
+// atr::Solve (api/solver.h) — the same code path benches and services use.
+// Also checks the reported total gain against an independent anchored
+// re-decomposition.
 
 #include <gtest/gtest.h>
 
-#include "api/registry.h"
 #include "api/solver.h"
 #include "graph/generators/social_profiles.h"
 #include "tests/paper_fixtures.h"
@@ -20,12 +19,10 @@ namespace atr {
 namespace {
 
 SolveResult RunVia(const char* solver_name, const Graph& g, uint32_t budget) {
-  StatusOr<std::unique_ptr<Solver>> solver =
-      SolverRegistry::Create(solver_name);
-  EXPECT_TRUE(solver.ok()) << solver.status().message();
   SolverOptions options;
   options.budget = budget;
-  StatusOr<SolveResult> result = (*solver)->Solve(g, options);
+  StatusOr<SolveResult> result =
+      Solve(g, ComputeTrussDecomposition(g), solver_name, options);
   EXPECT_TRUE(result.ok()) << result.status().message();
   return *std::move(result);
 }

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "api/registry.h"
 #include "api/solver.h"
 #include "tests/paper_fixtures.h"
 #include "truss/decomposition.h"
@@ -115,12 +114,10 @@ TEST(PaperGolden, Fig3AnchoredLayersShift) {
 }
 
 SolveResult RunVia(const char* solver_name, const Graph& g, uint32_t budget) {
-  StatusOr<std::unique_ptr<Solver>> solver =
-      SolverRegistry::Create(solver_name);
-  EXPECT_TRUE(solver.ok()) << solver.status().message();
   SolverOptions options;
   options.budget = budget;
-  StatusOr<SolveResult> result = (*solver)->Solve(g, options);
+  StatusOr<SolveResult> result =
+      Solve(g, ComputeTrussDecomposition(g), solver_name, options);
   EXPECT_TRUE(result.ok()) << result.status().message();
   return *std::move(result);
 }

@@ -369,6 +369,9 @@ TEST(ServiceBatchFusion, FusedGreedySweepMatchesSerialOracle) {
     ExpectSameResult(*oracle, fused[i], "gas sweep spec " + std::to_string(i));
   }
 
+  // A worker bumps the counters after its batch's results are published;
+  // Drain waits for that.
+  service.Drain();
   const AtrService::SchedulerStats stats = service.Stats();
   EXPECT_EQ(stats.jobs_fused, 4u);
   // Blocker + one fused batch: the whole sweep cost one solver dispatch.
@@ -380,31 +383,6 @@ TEST(ServiceBatchFusion, FusedGreedySweepMatchesSerialOracle) {
   EXPECT_EQ(info->decomposition_builds, 1u);
 }
 
-TEST(ServiceBatchFusion, FusedExactJobsShareOneEnumeration) {
-  AtrService::Options options;
-  options.workers = 1;
-  options.shards = 1;
-  options.max_batch = 8;
-  options.queue_capacity = 64;
-  AtrService service(options);
-  ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
-
-  std::vector<SolverOptions> specs(3);
-  specs[0].budget = 1;
-  specs[1].budget = 1;
-  specs[2].budget = 1;
-  const std::vector<SolveResult> fused =
-      RunBehindBlocker(service, specs, "exact");
-
-  AtrEngine engine(SchedGraph());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    StatusOr<SolveResult> oracle = engine.Run("exact", specs[i]);
-    ASSERT_TRUE(oracle.ok());
-    ExpectSameResult(*oracle, fused[i], "exact spec " + std::to_string(i));
-  }
-  EXPECT_EQ(service.Stats().jobs_fused, 3u);
-}
-
 TEST(ServiceBatchFusion, NonFusableSolversNeverFuse) {
   AtrService::Options options;
   options.workers = 1;
@@ -414,23 +392,27 @@ TEST(ServiceBatchFusion, NonFusableSolversNeverFuse) {
   AtrService service(options);
   ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
 
-  // Randomized baselines are excluded from fusion (their trial streams
-  // are not prefix-consistent across budgets).
-  std::vector<SolverOptions> specs(3);
-  for (SolverOptions& o : specs) {
-    o.budget = 2;
-    o.trials = 10;
-    o.seed = 7;
-  }
-  const std::vector<SolveResult> results =
-      RunBehindBlocker(service, specs, "rand");
-
+  // Only the greedy family fuses: the randomized baselines' trial streams
+  // are not prefix-consistent across budgets, and exact runs solo.
   AtrEngine engine(SchedGraph());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    StatusOr<SolveResult> oracle = engine.Run("rand", specs[i]);
-    ASSERT_TRUE(oracle.ok());
-    ExpectSameResult(*oracle, results[i], "rand spec " + std::to_string(i));
+  for (const char* solver : {"rand", "exact"}) {
+    // Exact enumerates every b-subset; keep its budget at 1.
+    std::vector<SolverOptions> specs(3);
+    for (SolverOptions& o : specs) {
+      o.budget = std::string(solver) == "exact" ? 1 : 2;
+      o.trials = 10;
+      o.seed = 7;
+    }
+    const std::vector<SolveResult> results =
+        RunBehindBlocker(service, specs, solver);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      StatusOr<SolveResult> oracle = engine.Run(solver, specs[i]);
+      ASSERT_TRUE(oracle.ok());
+      ExpectSameResult(*oracle, results[i],
+                       std::string(solver) + " spec " + std::to_string(i));
+    }
   }
+  service.Drain();
   EXPECT_EQ(service.Stats().jobs_fused, 0u);
 }
 

@@ -434,6 +434,46 @@ TEST(ServiceCancellation, MidRoundCancelLeavesValidPrefix) {
   }
 }
 
+// JobHandle::Cancel landing during a job's final round (or final exact
+// checkpoint) cuts nothing short: the job returns the full answer, not
+// marked stopped_early.
+TEST(ServiceCancellation, CancelInTheFinalRoundKeepsTheFullResult) {
+  const Graph g = HolmeKimGraph(30, 3, 0.7, 11);
+  AtrEngine engine(g, ComputeTrussDecomposition(g));
+  for (const char* solver : {"base", "base+", "gas", "akt:4", "exact"}) {
+    SolverOptions options;
+    options.budget = 2;
+    if (std::string(solver) == "exact") options.budget_checkpoints = {1, 2};
+    StatusOr<SolveResult> full = engine.Run(solver, options);
+    ASSERT_TRUE(full.ok()) << solver;
+
+    AtrService service;
+    ASSERT_TRUE(service.AddGraph("g", g).ok());
+    Latch last_round;
+    Latch cancel_issued;
+    options.progress = [&](const SolveProgress& progress) {
+      if (progress.round == 2) {
+        last_round.Set();
+        cancel_issued.Wait();
+      }
+      return true;
+    };
+    StatusOr<JobHandle> job = service.Submit("g", solver, options);
+    ASSERT_TRUE(job.ok()) << solver;
+    last_round.Wait();
+    EXPECT_TRUE(job->Cancel()) << solver;
+    cancel_issued.Set();
+
+    StatusOr<SolveResult> result = job->Wait();
+    ASSERT_TRUE(result.ok()) << solver << ": " << result.status().message();
+    EXPECT_FALSE(result->stopped_early) << solver;
+    EXPECT_EQ(result->anchor_edges, full->anchor_edges) << solver;
+    EXPECT_EQ(result->anchor_vertices, full->anchor_vertices) << solver;
+    EXPECT_EQ(result->gain_at_checkpoint, full->gain_at_checkpoint) << solver;
+    EXPECT_EQ(result->total_gain, full->total_gain) << solver;
+  }
+}
+
 // A caller-owned SolverOptions::cancel raised before the job runs stops
 // every solver — including the randomized trial loops, which have no round
 // structure — with a valid stopped_early result.
