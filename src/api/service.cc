@@ -22,6 +22,8 @@ struct JobState {
   std::string graph_name;
   std::string solver_name;
   SolverOptions options;            // the caller's options, unmodified
+  // The pinned version's graph, readable before its decomposition exists.
+  std::shared_ptr<const Graph> graph;
   std::function<GraphSnapshot()> snapshot;  // service's build-once entry
 
   mutable Mutex mu;
@@ -45,6 +47,7 @@ void PublishResult(const std::shared_ptr<JobState>& state,
     MutexLock lock(&state->mu);
     state->result = std::move(result);
     state->state = terminal;
+    state->graph = nullptr;
     state->snapshot = nullptr;
     state->options = SolverOptions();
     done = std::move(state->on_done);
@@ -534,6 +537,7 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
   // UpdateGraph publications between submit and run (the decomposition
   // build itself stays lazy until the job actually starts).
   std::shared_ptr<GraphVersion> version = entry->Current();
+  state->graph = version->graph;
   state->snapshot = [entry, version] { return SnapshotOf(*entry, *version); };
 
   FairScheduler::Job job;
@@ -638,6 +642,16 @@ void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
     state->state = JobHandle::State::kRunning;
   }
 
+  // Options Solve would reject fail here, against the pinned graph alone:
+  // a job that cannot run must not force the lazy decomposition build.
+  Status valid =
+      ValidateSolve(*state->graph, state->solver_name, state->options);
+  if (!valid.ok()) {
+    internal::PublishResult(state, StatusOr<SolveResult>(std::move(valid)),
+                            JobHandle::State::kDone);
+    return;
+  }
+
   // The solver only reads the shared immutable snapshot.
   const GraphSnapshot snapshot = state->snapshot();
 
@@ -682,15 +696,16 @@ void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
 // builds its result with — so fused and solo results are byte-identical.
 void AtrService::RunFusedGreedy(
     const std::vector<std::shared_ptr<internal::JobState>>& members) {
-  const GraphSnapshot snapshot = members.front()->snapshot();
-
   // Per-member validation must match the solo path: a member with an
   // invalid budget fails alone with its own error; the others still fuse.
+  // It reads only the pinned graph, so a batch of invalid members never
+  // builds the decomposition.
   std::vector<std::shared_ptr<internal::JobState>> live;
   live.reserve(members.size());
   uint32_t max_budget = 0;
   for (const auto& state : members) {
-    Status valid = ValidateSolverOptions(*snapshot.graph, state->options);
+    Status valid =
+        ValidateSolve(*state->graph, state->solver_name, state->options);
     if (!valid.ok()) {
       internal::PublishResult(state, StatusOr<SolveResult>(std::move(valid)),
                               JobHandle::State::kDone);
@@ -700,6 +715,7 @@ void AtrService::RunFusedGreedy(
     live.push_back(state);
   }
   if (live.empty()) return;
+  const GraphSnapshot snapshot = live.front()->snapshot();
 
   SolverOptions fused;
   fused.budget = max_budget;

@@ -132,8 +132,8 @@ struct SolveResult {
 // Validates the fields of `options` every edge-anchoring solver agrees on:
 // budget within [1, |E|], checkpoints (when provided) strictly ascending
 // within [1, budget] and ending at `budget`. Solve applies it (AKT bounds
-// the budget by |V| instead); solver-specific fields (trials) are
-// validated by the solver itself.
+// the budget by |V| instead); ValidateSolve below adds the
+// solver-specific rules.
 Status ValidateSolverOptions(const Graph& g, const SolverOptions& options);
 
 // Runs solver `solver` on `g`. `anchor_free` must be the anchor-free truss
@@ -144,6 +144,15 @@ StatusOr<SolveResult> Solve(const Graph& g,
                             const TrussDecomposition& anchor_free,
                             const std::string& solver,
                             const SolverOptions& options);
+
+// Every check Solve makes before it reads `anchor_free`: the name (as
+// CheckSolverName), then the solver's options under its budget rule
+// (1 <= budget <= |E|, or <= |V| for "akt:<k>"), and for rand / sup / tur
+// the trials and candidate-pool rules (ValidateRandomBaseline). Returns
+// the status Solve would return for the same arguments, without solving,
+// so a caller can reject a request before building the decomposition.
+Status ValidateSolve(const Graph& g, const std::string& solver,
+                     const SolverOptions& options);
 
 // The name check Solve applies first, without solving: OK for a known
 // name, otherwise the same NotFound / InvalidArgument status. Reads only

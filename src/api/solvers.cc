@@ -146,6 +146,32 @@ std::vector<uint32_t> EffectiveCheckpoints(const SolverOptions& options) {
   return {options.budget};
 }
 
+bool IsRandomBaseline(SolverKind kind) {
+  return kind == SolverKind::kRand || kind == SolverKind::kSup ||
+         kind == SolverKind::kTur;
+}
+
+RandomPoolKind PoolOf(SolverKind kind) {
+  return kind == SolverKind::kRand  ? RandomPoolKind::kAllEdges
+         : kind == SolverKind::kSup ? RandomPoolKind::kTopSupport
+                                    : RandomPoolKind::kTopRouteSize;
+}
+
+// Every check a solve makes before it reads the decomposition. AKT anchors
+// vertices, so its budget is bounded by |V|; every other solver anchors
+// edges and is bounded by |E|. The randomized baselines add their own
+// trials and candidate-pool rules.
+Status ValidateParsed(const Graph& g, const ParsedSolver& solver,
+                      const SolverOptions& options) {
+  if (solver.kind == SolverKind::kAkt) {
+    return ValidateVertexSolverOptions(g, options);
+  }
+  Status status = ValidateSolverOptions(g, options);
+  if (!status.ok() || !IsRandomBaseline(solver.kind)) return status;
+  return ValidateRandomBaseline(g, PoolOf(solver.kind),
+                                EffectiveCheckpoints(options), options.trials);
+}
+
 bool CancelRequested(const SolverOptions& options) {
   return options.cancel != nullptr &&
          options.cancel->load(std::memory_order_relaxed);
@@ -182,9 +208,6 @@ StatusOr<SolveResult> SolveGreedy(const Graph& g,
                                   const TrussDecomposition& anchor_free,
                                   const ParsedSolver& solver,
                                   const SolverOptions& options) {
-  Status status = ValidateSolverOptions(g, options);
-  if (!status.ok()) return status;
-
   const GreedyControl control = MakeRoundControl(solver.name, options);
   WallTimer timer;
   AnchorResult run;
@@ -208,9 +231,6 @@ StatusOr<SolveResult> SolveExact(const Graph& g,
                                  const TrussDecomposition& anchor_free,
                                  const ParsedSolver& solver,
                                  const SolverOptions& options) {
-  Status status = ValidateSolverOptions(g, options);
-  if (!status.ok()) return status;
-
   WallTimer timer;
   SolveResult result;
   result.solver = solver.name;
@@ -249,14 +269,6 @@ StatusOr<SolveResult> SolveRandom(const Graph& g,
                                   const TrussDecomposition& anchor_free,
                                   const ParsedSolver& solver,
                                   const SolverOptions& options) {
-  Status status = ValidateSolverOptions(g, options);
-  if (!status.ok()) return status;
-
-  const RandomPoolKind pool = solver.kind == SolverKind::kRand
-                                  ? RandomPoolKind::kAllEdges
-                              : solver.kind == SolverKind::kSup
-                                  ? RandomPoolKind::kTopSupport
-                                  : RandomPoolKind::kTopRouteSize;
   // Trials are not rounds: only the cancel flag and wall-clock limit
   // apply (checked between trials on every worker).
   GreedyControl control;
@@ -264,8 +276,9 @@ StatusOr<SolveResult> SolveRandom(const Graph& g,
   control.wall_clock_limit_seconds = options.wall_clock_limit_seconds;
   WallTimer timer;
   StatusOr<RandomBaselineResult> run =
-      RunRandomBaseline(g, anchor_free, pool, EffectiveCheckpoints(options),
-                        options.trials, options.seed, &control);
+      RunRandomBaseline(g, anchor_free, PoolOf(solver.kind),
+                        EffectiveCheckpoints(options), options.trials,
+                        options.seed, &control);
   if (!run.ok()) return run.status();
 
   SolveResult result;
@@ -293,9 +306,6 @@ StatusOr<SolveResult> SolveAkt(const Graph& g,
                                const TrussDecomposition& anchor_free,
                                const ParsedSolver& solver,
                                const SolverOptions& options) {
-  Status status = ValidateVertexSolverOptions(g, options);
-  if (!status.ok()) return status;
-
   const GreedyControl control = MakeRoundControl(solver.name, options);
   WallTimer timer;
   SolveResult result;
@@ -354,12 +364,21 @@ SolveResult GreedyResult(std::string solver, std::vector<AnchorRound> rounds,
   return result;
 }
 
+Status ValidateSolve(const Graph& g, const std::string& solver,
+                     const SolverOptions& options) {
+  StatusOr<ParsedSolver> parsed = ParseSolverName(solver);
+  if (!parsed.ok()) return parsed.status();
+  return ValidateParsed(g, *parsed, options);
+}
+
 StatusOr<SolveResult> Solve(const Graph& g,
                             const TrussDecomposition& anchor_free,
                             const std::string& solver,
                             const SolverOptions& options) {
   StatusOr<ParsedSolver> parsed = ParseSolverName(solver);
   if (!parsed.ok()) return parsed.status();
+  Status valid = ValidateParsed(g, *parsed, options);
+  if (!valid.ok()) return valid;
   switch (parsed->kind) {
     case SolverKind::kBase:
     case SolverKind::kBasePlus:

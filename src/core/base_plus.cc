@@ -21,10 +21,13 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
   budget = std::min<uint32_t>(budget, m);
 
   WallTimer timer;
+  // One whole-graph triangle index per solve: every worker's search and
+  // the commit's search read it.
+  const TriangleIncidence triangles = BuildTriangleIncidence(g);
   // The shared (decomposition, anchors) state; each committed anchor
   // updates it locally instead of recomputing it.
   IncrementalTruss engine =
-      MakeGreedyEngine(g, seed_decomposition);
+      MakeGreedyEngine(g, seed_decomposition, triangles);
   const TrussDecomposition& current = engine.decomposition();
   const std::vector<bool>& anchored = engine.anchored();
 
@@ -41,7 +44,7 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
     std::mutex mu;
     ParallelFor(m, [&](int64_t begin, int64_t end) {
       // Worker-local search state (epoch-stamped scratch arrays).
-      FollowerSearch search(g);
+      FollowerSearch search(g, triangles);
       search.SetState(&current, &anchored);
       Best local;
       for (int64_t i = begin; i < end; ++i) {

@@ -4,7 +4,7 @@
 #include <mutex>
 
 #include "core/greedy_internal.h"
-#include "graph/triangles.h"
+#include "graph/triangle_index.h"
 #include "route/follower_search.h"
 #include "tree/component_tree.h"
 #include "truss/decomposition.h"
@@ -37,7 +37,7 @@ struct CandidateOutcome {
 // whole whenever any of its nodes is dirty, and reused as a whole when all
 // are clean.
 CandidateOutcome EvaluateCandidate(
-    const Graph& g, const TrussDecomposition& decomp,
+    const TriangleIncidence& triangles, const TrussDecomposition& decomp,
     const TrussComponentTree& tree, const std::vector<uint32_t>& dirty_nodes,
     bool full_recompute, EdgeId e, FollowerSearch& search, NodeCounts& cache,
     std::vector<std::pair<uint32_t, uint32_t>>& scratch) {
@@ -45,7 +45,7 @@ CandidateOutcome EvaluateCandidate(
   // satisfying Lemma 2 condition (i).
   scratch.clear();
   const std::vector<uint32_t>& edge_node = tree.edge_node_ids();
-  ForEachTriangleOfEdge(g, e, [&](VertexId, EdgeId e1, EdgeId e2) {
+  triangles.ForEachTriangleOf(e, [&](EdgeId e1, EdgeId e2) {
     for (const EdgeId p : {e1, e2}) {
       if (edge_node[p] == kNoTreeNode) continue;  // anchors have no node
       if (!decomp.StrictlyPrecedes(e, p)) continue;
@@ -132,10 +132,13 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
   budget = std::min<uint32_t>(budget, m);
 
   WallTimer timer;
+  // One whole-graph triangle index per solve: the workers' searches, the
+  // seed and sla(x) walks below and the commit's search all read it.
+  const TriangleIncidence triangles = BuildTriangleIncidence(g);
   // The shared (decomposition, anchors) state, maintained locally across
   // commits; candidate evaluation and the reuse logic read it in place.
   IncrementalTruss engine =
-      MakeGreedyEngine(g, seed_decomposition);
+      MakeGreedyEngine(g, seed_decomposition, triangles);
   const TrussDecomposition& current = engine.decomposition();
   const std::vector<bool>& anchored = engine.anchored();
   TrussComponentTree tree;
@@ -162,7 +165,7 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
     std::vector<Best> bests;
     std::mutex mu;
     ParallelFor(m, [&](int64_t begin, int64_t end) {
-      FollowerSearch search(g);
+      FollowerSearch search(g, triangles);
       search.SetState(&current, &anchored);
       std::vector<std::pair<uint32_t, uint32_t>> scratch;
       Best local;
@@ -170,7 +173,7 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
         const EdgeId e = static_cast<EdgeId>(i);
         if (!EligibleCandidate(current, anchored, e)) continue;
         const CandidateOutcome outcome =
-            EvaluateCandidate(g, current, tree, dirty_nodes,
+            EvaluateCandidate(triangles, current, tree, dirty_nodes,
                               needs_full[e] != 0, e, search, caches[e],
                               scratch);
         local.fr += outcome.reuse_class == 0;
@@ -214,7 +217,7 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
     const uint32_t tx = current.trussness[x];
     {
       const std::vector<uint32_t>& edge_node = tree.edge_node_ids();
-      ForEachTriangleOfEdge(g, x, [&](VertexId, EdgeId e1, EdgeId e2) {
+      triangles.ForEachTriangleOf(x, [&](EdgeId e1, EdgeId e2) {
         for (const EdgeId p : {e1, e2}) {
           if (edge_node[p] == kNoTreeNode) continue;
           if (current.trussness[p] >= tx) next_dirty.push_back(edge_node[p]);

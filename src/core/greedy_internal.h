@@ -1,9 +1,9 @@
 // Shared round-state plumbing of the accelerated greedy solvers (BASE+,
 // GAS): the incremental engine that keeps their (decomposition, anchors)
 // state current across rounds, seeded from an optional cached anchor-free
-// decomposition. BASE, the reference they are tested against, keeps its
-// own full-recompute state in core/base_greedy.cc and shares only the
-// candidate filter below.
+// decomposition and borrowing the solve's one triangle index. BASE, the
+// reference they are tested against, keeps its own full-recompute state in
+// core/base_greedy.cc and shares only the candidate filter below.
 //
 // The greedy cores keep no private support state of their own: every
 // decomposition goes through truss/decomposition.h or truss/incremental.h,
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "truss/decomposition.h"
 #include "truss/incremental.h"
 
@@ -28,11 +29,13 @@ inline bool EligibleCandidate(const TrussDecomposition& current,
 }
 
 // The round-1 engine: adopts `seed` when given (the anchor-free
-// decomposition of `g`), else decomposes `g`.
+// decomposition of `g`), else decomposes `g`. Its commits' follower search
+// borrows `triangles`, the solve's whole-graph index of `g`.
 inline IncrementalTruss MakeGreedyEngine(const Graph& g,
-                                         const TrussDecomposition* seed) {
-  if (seed != nullptr) return IncrementalTruss(g, *seed);
-  return IncrementalTruss(g);
+                                         const TrussDecomposition* seed,
+                                         const TriangleIncidence& triangles) {
+  return IncrementalTruss(
+      g, seed != nullptr ? *seed : ComputeTrussDecomposition(g), &triangles);
 }
 
 }  // namespace atr

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <string>
 
+#include "graph/triangle_index.h"
 #include "graph/triangles.h"
 #include "route/follower_search.h"
 #include "truss/decomposition.h"
@@ -65,9 +66,11 @@ std::vector<EdgeId> BaselinePool(const Graph& g, RandomPoolKind kind,
         local = ComputeTrussDecomposition(g);
         base = &local;
       }
+      // One triangle index shared read-only by every worker's search.
+      const TriangleIncidence triangles = BuildTriangleIncidence(g);
       std::vector<uint64_t> score(m, 0);
       ParallelFor(m, [&](int64_t begin, int64_t end) {
-        FollowerSearch search(g);
+        FollowerSearch search(g, triangles);
         search.SetState(base, nullptr);
         for (int64_t i = begin; i < end; ++i) {
           score[i] = search.RouteSize(static_cast<EdgeId>(i));
@@ -79,13 +82,10 @@ std::vector<EdgeId> BaselinePool(const Graph& g, RandomPoolKind kind,
   return {};
 }
 
-namespace {
-
-// Input checks shared by both entry points; cheap, so they run before any
-// decomposition work.
-Status ValidateRandomBaselineInputs(
-    uint32_t num_edges, const std::vector<uint32_t>& budget_checkpoints,
-    uint32_t trials) {
+Status ValidateRandomBaseline(const Graph& g, RandomPoolKind kind,
+                              const std::vector<uint32_t>& budget_checkpoints,
+                              uint32_t trials) {
+  const uint32_t num_edges = g.NumEdges();
   if (num_edges == 0) {
     return Status::InvalidArgument("random baseline: graph has no edges");
   }
@@ -104,20 +104,28 @@ Status ValidateRandomBaselineInputs(
         "random baseline: checkpoints must satisfy 1 <= b <= |E| (|E| = " +
         std::to_string(num_edges) + ")");
   }
+  // Sup/Tur draw from the top-20% pool, so their effective budget ceiling
+  // is the pool size — reject rather than silently drawing fewer anchors
+  // than requested.
+  const uint32_t budget = budget_checkpoints.back();
+  const uint32_t capacity = BaselinePoolCapacity(g, kind);
+  if (budget > capacity) {
+    return Status::InvalidArgument(
+        "random baseline: budget " + std::to_string(budget) +
+        " exceeds the candidate pool size " + std::to_string(capacity) +
+        " for this pool kind");
+  }
   if (trials == 0) {
     return Status::InvalidArgument("random baseline: trials must be >= 1");
   }
   return Status::Ok();
 }
 
-}  // namespace
-
 StatusOr<RandomBaselineResult> RunRandomBaseline(
     const Graph& g, RandomPoolKind kind,
     const std::vector<uint32_t>& budget_checkpoints, uint32_t trials,
     uint64_t seed, const GreedyControl* control) {
-  Status status =
-      ValidateRandomBaselineInputs(g.NumEdges(), budget_checkpoints, trials);
+  Status status = ValidateRandomBaseline(g, kind, budget_checkpoints, trials);
   if (!status.ok()) return status;
   const TrussDecomposition base = ComputeTrussDecomposition(g);
   return RunRandomBaseline(g, base, kind, budget_checkpoints, trials, seed,
@@ -128,21 +136,12 @@ StatusOr<RandomBaselineResult> RunRandomBaseline(
     const Graph& g, const TrussDecomposition& base, RandomPoolKind kind,
     const std::vector<uint32_t>& budget_checkpoints, uint32_t trials,
     uint64_t seed, const GreedyControl* control) {
-  Status status =
-      ValidateRandomBaselineInputs(g.NumEdges(), budget_checkpoints, trials);
+  Status status = ValidateRandomBaseline(g, kind, budget_checkpoints, trials);
   if (!status.ok()) return status;
   const uint32_t budget = budget_checkpoints.back();
   const std::vector<EdgeId> pool = BaselinePool(g, kind, &base);
-  ATR_CHECK(!pool.empty());
-  // Sup/Tur draw from the top-20% pool, so their effective budget ceiling
-  // is the pool size — reject rather than silently drawing fewer anchors
-  // than requested.
-  if (budget > pool.size()) {
-    return Status::InvalidArgument(
-        "random baseline: budget " + std::to_string(budget) +
-        " exceeds the candidate pool size " + std::to_string(pool.size()) +
-        " for this pool kind");
-  }
+  ATR_CHECK(pool.size() == BaselinePoolCapacity(g, kind) &&
+            budget <= pool.size());
 
   struct TrialBest {
     uint64_t gain = 0;

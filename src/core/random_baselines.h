@@ -62,6 +62,13 @@ StatusOr<RandomBaselineResult> RunRandomBaseline(
     const std::vector<uint32_t>& budget_checkpoints, uint32_t trials,
     uint64_t seed, const GreedyControl* control = nullptr);
 
+// The input checks both RunRandomBaseline overloads make, in the order
+// they make them, without running anything: they read only the sizes of
+// `g`, so a caller can reject a request before any decomposition exists.
+Status ValidateRandomBaseline(const Graph& g, RandomPoolKind kind,
+                              const std::vector<uint32_t>& budget_checkpoints,
+                              uint32_t trials);
+
 // The candidate pool used by `kind` (exposed for tests): all edges, or the
 // top-20% edge ids under the respective score, descending score order.
 // When `base` is non-null it is used for the route-size scores instead of

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/triangle_index.h"
 #include "route/follower_search.h"
 #include "util/parallel_for.h"
 
@@ -9,9 +10,11 @@ namespace atr {
 
 std::vector<uint32_t> ComputeAllRouteSizes(const Graph& g,
                                            const TrussDecomposition& decomp) {
+  // One triangle index shared read-only by every worker's search.
+  const TriangleIncidence triangles = BuildTriangleIncidence(g);
   std::vector<uint32_t> sizes(g.NumEdges(), 0);
   ParallelFor(g.NumEdges(), [&](int64_t begin, int64_t end) {
-    FollowerSearch search(g);
+    FollowerSearch search(g, triangles);
     search.SetState(&decomp, nullptr);
     for (int64_t i = begin; i < end; ++i) {
       sizes[i] = search.RouteSize(static_cast<EdgeId>(i));

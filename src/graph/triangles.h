@@ -1,4 +1,5 @@
-// Triangle enumeration and per-edge support computation.
+// Triangle enumeration and per-edge support computation, straight off the
+// Graph's CSR with no index.
 //
 // Two access patterns are provided:
 //  * ForEachTriangle enumerates every triangle of the graph exactly once
@@ -6,8 +7,17 @@
 //    arboricity inputs). Used for support computation and for building the
 //    truss-component tree.
 //  * ForEachTriangleOfEdge enumerates the triangles containing one specific
-//    edge in O(min(d(u), d(v)) * log max(d(u), d(v))), which is the inner
-//    loop of peeling and of the follower search.
+//    edge in O(min(d(u), d(v)) * log max(d(u), d(v))), one FindEdge binary
+//    search per neighbour of the lower-degree endpoint. It serves the
+//    callers that have no index at hand: the serial oracle peel, the
+//    incremental engine's affected-region re-peel and its
+//    RemoveEdge / InsertEdge update path (whose graph is brand new), and
+//    AKT.
+//
+// Kernels that sweep the same edges' triangles many times — the flat peel,
+// the follower search, GAS — read the triangle-incidence index instead
+// (graph/triangle_index.h), which stores each edge's triangles as one
+// contiguous run of partner pairs.
 
 #ifndef ATR_GRAPH_TRIANGLES_H_
 #define ATR_GRAPH_TRIANGLES_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/triangles.h"
 #include "util/macros.h"
 
 namespace atr {
@@ -16,9 +15,22 @@ uint64_t HeapKey(uint32_t layer, EdgeId e) {
 
 FollowerSearch::FollowerSearch(const Graph& g)
     : g_(g),
+      owned_triangles_(std::make_unique<const TriangleIncidence>(
+          BuildTriangleIncidence(g))),
+      triangles_(*owned_triangles_),
       epoch_(g.NumEdges(), 0),
       status_(g.NumEdges(), 0),
       splus_(g.NumEdges(), 0) {}
+
+FollowerSearch::FollowerSearch(const Graph& g,
+                               const TriangleIncidence& triangles)
+    : g_(g),
+      triangles_(triangles),
+      epoch_(g.NumEdges(), 0),
+      status_(g.NumEdges(), 0),
+      splus_(g.NumEdges(), 0) {
+  ATR_CHECK(triangles.offsets.size() == g.NumEdges() + size_t{1});
+}
 
 void FollowerSearch::SetState(const TrussDecomposition* decomp,
                               const std::vector<bool>* anchored) {
@@ -49,7 +61,7 @@ bool FollowerSearch::Countable(EdgeId p, EdgeId e, uint32_t level) const {
 
 uint32_t FollowerSearch::ComputeSPlus(EdgeId e, uint32_t level) const {
   uint32_t count = 0;
-  ForEachTriangleOfEdge(g_, e, [&](VertexId, EdgeId e1, EdgeId e2) {
+  triangles_.ForEachTriangleOf(e, [&](EdgeId e1, EdgeId e2) {
     if (Countable(e1, e, level) && Countable(e2, e, level)) ++count;
   });
   return count;
@@ -64,7 +76,7 @@ void FollowerSearch::EliminateAndScan(EdgeId r, bool was_survived,
   // first, after which neither death would decrement the surviving third
   // edge.) The decrements themselves are pure bookkeeping and are queued.
   SetStatus(r, kEliminated);
-  ForEachTriangleOfEdge(g_, r, [&](VertexId, EdgeId a, EdgeId b) {
+  triangles_.ForEachTriangleOf(r, [&](EdgeId a, EdgeId b) {
     // The survived partner p may lose this triangle; o is the third edge.
     for (int side = 0; side < 2; ++side) {
       const EdgeId p = (side == 0) ? a : b;
@@ -117,7 +129,7 @@ void FollowerSearch::ProcessLevel(uint32_t level,
       survivors_.push_back(e);
       // Expand the upward route: same-level neighbor-edges ordered no
       // earlier than e (Algorithm 3 lines 12-14).
-      ForEachTriangleOfEdge(g_, e, [&](VertexId, EdgeId e1, EdgeId e2) {
+      triangles_.ForEachTriangleOf(e, [&](EdgeId e1, EdgeId e2) {
         for (const EdgeId p : {e1, e2}) {
           if (p == current_anchor_ || IsAnchoredEdge(p)) continue;
           if (decomp_->trussness[p] != level) continue;
@@ -143,10 +155,10 @@ void FollowerSearch::ProcessLevel(uint32_t level,
 
 void FollowerSearch::CollectSeeds(EdgeId x) {
   seeds_.clear();
-  ForEachTriangleOfEdge(g_, x, [&](VertexId, EdgeId e1, EdgeId e2) {
+  triangles_.ForEachTriangleOf(x, [&](EdgeId e1, EdgeId e2) {
     for (const EdgeId p : {e1, e2}) {
       if (IsAnchoredEdge(p)) continue;
-      // The CSR enumerates triangles of the full graph, so a partner may
+      // The index holds triangles of the full graph, so a partner may
       // have been removed from the maintained subgraph — its sentinel
       // trussness must not enter the ≺ comparison.
       if (!decomp_->IsComputed(p)) continue;
@@ -259,7 +271,7 @@ uint32_t FollowerSearch::RouteSize(EdgeId x) {
     const EdgeId e = stack.back();
     stack.pop_back();
     const uint32_t level = decomp_->trussness[e];
-    ForEachTriangleOfEdge(g_, e, [&](VertexId, EdgeId e1, EdgeId e2) {
+    triangles_.ForEachTriangleOf(e, [&](EdgeId e1, EdgeId e2) {
       for (const EdgeId p : {e1, e2}) {
         if (p == current_anchor_ || IsAnchoredEdge(p)) continue;
         if (decomp_->trussness[p] != level) continue;

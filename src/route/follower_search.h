@@ -30,22 +30,39 @@
 // All scratch state is epoch-stamped, so one FollowerSearch instance can be
 // reused across the m candidate evaluations of a greedy round with O(route)
 // cost per call instead of O(m).
+//
+// Every triangle walk (s+ counting, the retract scan, route expansion, seed
+// collection, RouteSize) reads the shared whole-graph triangle-incidence
+// index (TriangleIncidence, graph/triangle_index.h): an edge's triangles
+// are one contiguous run of zipped partner pairs, not a FindEdge binary
+// search per neighbour. A greedy solve builds one index and every worker's
+// search borrows it; the single-argument constructor builds its own. No
+// result depends on triangle order: seeds are sorted and deduplicated, heap
+// keys (layer, edge) are unique, and s+ is a count.
 
 #ifndef ATR_ROUTE_FOLLOWER_SEARCH_H_
 #define ATR_ROUTE_FOLLOWER_SEARCH_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "truss/decomposition.h"
 
 namespace atr {
 
 class FollowerSearch {
  public:
+  // Builds and owns a whole-graph triangle index of `g`.
   explicit FollowerSearch(const Graph& g);
+
+  // Borrows `triangles`, the whole-graph index of `g`
+  // (BuildTriangleIncidence(g)); it must outlive the search and is only
+  // read, so any number of searches on any threads may share one.
+  FollowerSearch(const Graph& g, const TriangleIncidence& triangles);
 
   FollowerSearch(const FollowerSearch&) = delete;
   FollowerSearch& operator=(const FollowerSearch&) = delete;
@@ -136,6 +153,9 @@ class FollowerSearch {
   }
 
   const Graph& g_;
+  // Set only by the single-argument constructor; triangles_ points into it.
+  std::unique_ptr<const TriangleIncidence> owned_triangles_;
+  const TriangleIncidence& triangles_;
   const TrussDecomposition* decomp_ = nullptr;
   const std::vector<bool>* anchored_ = nullptr;
 

@@ -18,12 +18,15 @@
 //
 //  * adjacency and oriented half-edges packed into zipped uint64_t arrays
 //    (graph/flat_view.h) — one forward oriented sweep intersects raw
-//    words (no FindEdge binary searches) and materializes the triangle
-//    incidence CSR: per edge, its triangles' other two edge ids zipped
-//    into uint64_t pairs. Peel rounds then touch exactly the stored pairs
-//    of their dying edges — O(1) per triangle visit — instead of
-//    re-intersecting the endpoints' adjacency lists, which on hub-heavy
-//    graphs costs orders of magnitude more than the triangle count;
+//    words (no FindEdge binary searches) and materializes the shared
+//    triangle-incidence index over the alive subgraph
+//    (TriangleIncidence, graph/triangle_index.h): per edge, its
+//    triangles' other two edge ids zipped into uint64_t pairs, and its
+//    initial support is its pair count. Peel rounds then touch exactly
+//    the stored pairs of their dying edges — O(1) per triangle visit —
+//    instead of re-intersecting the endpoints' adjacency lists, which on
+//    hub-heavy graphs costs orders of magnitude more than the triangle
+//    count;
 //  * edge support / edge id in flat SoA arrays ordered by a bin-sort
 //    bucket structure (sorted / pos / bin_start): a support decrement is
 //    an O(1) swap with its bin's front, and each phase's frontier is a

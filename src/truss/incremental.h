@@ -62,6 +62,7 @@
 namespace atr {
 
 class FollowerSearch;
+struct TriangleIncidence;
 
 class IncrementalTruss {
  public:
@@ -82,7 +83,15 @@ class IncrementalTruss {
   // Adopts a precomputed anchor-free decomposition of `g` instead of
   // recomputing; edges with trussness kTrussnessNotComputed are treated as
   // removed (the subset decomposition over the others).
-  IncrementalTruss(const Graph& g, TrussDecomposition seed);
+  //
+  // `triangles`, when given, is the whole-graph triangle index of `g`
+  // (BuildTriangleIncidence(g)); ApplyAnchor's follower search borrows it,
+  // so a greedy solve builds one index, not two. It must outlive the
+  // engine and its copies. Without one, the first ApplyAnchor builds its
+  // own. The affected-region re-peel and RemoveEdge / InsertEdge never
+  // read it.
+  IncrementalTruss(const Graph& g, TrussDecomposition seed,
+                   const TriangleIncidence* triangles = nullptr);
 
   // Copyable so parallel candidate evaluation can clone one engine per
   // worker; the copy shares nothing with the original. Movable so a
@@ -241,7 +250,8 @@ class IncrementalTruss {
   uint64_t undo_base_serial_ = 0;  // serial "under" position 0
   Stats stats_;
 
-  std::unique_ptr<FollowerSearch> search_;  // lazily created
+  const TriangleIncidence* triangles_ = nullptr;  // borrowed, may be null
+  std::unique_ptr<FollowerSearch> search_;        // lazily created
 
   // --- re-peel scratch (epoch-stamped; excluded from copies) -------------
   uint32_t region_pass_ = 0;  // bumped per mutation

@@ -14,6 +14,7 @@
 #include "tests/test_helpers.h"
 #include "truss/decomposition.h"
 #include "truss/gain.h"
+#include "util/parallel_for.h"
 
 namespace atr {
 namespace {
@@ -123,6 +124,40 @@ TEST_P(GreedyEquivalenceProperty, MarginalGainsAreFollowerCounts) {
     EXPECT_EQ(marginal, round.gain) << "seed " << seed;
     anchored[round.anchor] = true;
     current = ComputeTrussDecomposition(g, anchored);
+  }
+}
+
+// BASE+ and GAS fan candidate evaluation out over ParallelFor workers that
+// all borrow the solve's one triangle index. Under 4 workers every result
+// field — anchors, per-round gains, follower trussness and the reuse
+// counters — must be byte-equal to the 1-worker run.
+TEST_P(GreedyEquivalenceProperty, ParallelWorkersMatchOneWorker) {
+  const Graph g = MakePropertyGraph(GetParam());
+  const uint32_t budget = 5 + GetParam() % 4;
+  for (const char* solver : {"base+", "gas"}) {
+    SolveResult one;
+    SolveResult four;
+    {
+      ScopedParallelism workers(1);
+      one = RunVia(solver, g, budget);
+    }
+    {
+      ScopedParallelism workers(4);
+      four = RunVia(solver, g, budget);
+    }
+    ExpectSameSelections(one, four, solver);
+    ASSERT_EQ(one.rounds.size(), four.rounds.size()) << solver;
+    for (size_t r = 0; r < one.rounds.size(); ++r) {
+      const AnchorRound& a = one.rounds[r];
+      const AnchorRound& b = four.rounds[r];
+      EXPECT_EQ(a.follower_trussness, b.follower_trussness)
+          << solver << " round " << r;
+      EXPECT_EQ(a.fully_reusable, b.fully_reusable) << solver << " round " << r;
+      EXPECT_EQ(a.partially_reusable, b.partially_reusable)
+          << solver << " round " << r;
+      EXPECT_EQ(a.non_reusable, b.non_reusable) << solver << " round " << r;
+    }
+    EXPECT_EQ(one.gain_at_checkpoint, four.gain_at_checkpoint) << solver;
   }
 }
 

@@ -19,6 +19,7 @@
 
 #include "graph/generators/generators.h"
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "tests/paper_fixtures.h"
 #include "truss/decomposition.h"
 #include "truss/gain.h"
@@ -104,7 +105,13 @@ EdgeId PickMutableEdge(const IncrementalTruss& inc, Rng& rng) {
 void RunEpisode(uint64_t seed) {
   const Graph g = MakeDifferentialGraph(seed);
   if (g.NumEdges() == 0) return;
-  IncrementalTruss inc(g);
+  // Odd seeds hand the engine a borrowed whole-graph triangle index, the
+  // way a greedy solve does; even seeds let ApplyAnchor build its own.
+  const TriangleIncidence triangles = BuildTriangleIncidence(g);
+  IncrementalTruss inc =
+      seed % 2 == 1
+          ? IncrementalTruss(g, ComputeTrussDecomposition(g), &triangles)
+          : IncrementalTruss(g);
   ExpectByteIdentical(inc, seed, -1);
 
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);

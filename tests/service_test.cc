@@ -17,6 +17,7 @@
 
 #include "api/engine.h"
 #include "api/service.h"
+#include "core/random_baselines.h"
 #include "graph/generators/generators.h"
 #include "tests/test_helpers.h"
 #include "truss/gain.h"
@@ -356,6 +357,79 @@ TEST(ServiceJobs, CancelledWhileQueuedNeverRuns) {
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(queued->state(), JobHandle::State::kCancelled);
   EXPECT_FALSE(queued->Cancel());  // already finished
+}
+
+// A job Solve would reject fails against the pinned graph alone: it never
+// forces the version's lazy decomposition build, solo or fused.
+TEST(ServiceJobs, InvalidJobsNeverBuildTheDecomposition) {
+  AtrService::Options options;
+  options.workers = 1;  // serialize: the latch job occupies the one worker
+  options.shards = 1;
+  AtrService service(options);
+  const Graph g = MakeServiceGraph();
+  ASSERT_TRUE(service.AddGraph("g", g).ok());
+  ASSERT_TRUE(service.AddGraph("blocker", MakeServiceGraph(12)).ok());
+
+  const auto expect_invalid = [](JobHandle& handle, const std::string& what) {
+    StatusOr<SolveResult> result = handle.Wait();
+    ASSERT_FALSE(result.ok()) << what;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+
+  // Solo: each solver's own rules — the budget bound (|E| for edges, |V|
+  // for akt), and the randomized baselines' trials and pool size.
+  struct Bad {
+    const char* solver;
+    uint32_t budget;
+    uint32_t trials;
+  };
+  const uint32_t sup_pool =
+      BaselinePoolCapacity(g, RandomPoolKind::kTopSupport);
+  const Bad solo[] = {{"gas", 0, 1},
+                      {"base+", g.NumEdges() + 1, 1},
+                      {"akt:3", g.NumVertices() + 1, 1},
+                      {"rand", 3, 0},
+                      {"sup", sup_pool + 1, 1}};
+  for (const auto& [solver, budget, trials] : solo) {
+    SolverOptions bad;
+    bad.budget = budget;
+    bad.trials = trials;
+    StatusOr<JobHandle> job = service.Submit("g", solver, bad);
+    ASSERT_TRUE(job.ok()) << solver;
+    expect_invalid(*job, solver);
+    EXPECT_EQ(service.Info("g")->decomposition_builds, 0u) << solver;
+  }
+
+  // Fused: invalid gas members queued behind a job on another graph form
+  // one batch, and every member fails without a build.
+  Latch running;
+  Latch release;
+  SolverOptions blocker_options;
+  blocker_options.budget = 1;
+  blocker_options.progress = [&](const SolveProgress&) {
+    running.Set();
+    release.Wait();
+    return true;
+  };
+  StatusOr<JobHandle> blocker =
+      service.Submit("blocker", "gas", blocker_options);
+  ASSERT_TRUE(blocker.ok());
+  running.Wait();
+  std::vector<JobHandle> members;
+  for (const uint32_t budget : {0u, g.NumEdges() + 1, 0u}) {
+    SolverOptions bad;
+    bad.budget = budget;
+    StatusOr<JobHandle> job = service.Submit("g", "gas", bad);
+    ASSERT_TRUE(job.ok());
+    members.push_back(*job);
+  }
+  release.Set();
+  ASSERT_TRUE(blocker->Wait().ok());
+  for (JobHandle& member : members) expect_invalid(member, "fused member");
+  service.Drain();
+  EXPECT_EQ(service.Stats().jobs_fused, members.size());
+  EXPECT_EQ(service.Info("g")->decomposition_builds, 0u);
+  EXPECT_EQ(service.Info("blocker")->decomposition_builds, 1u);
 }
 
 // --- Cancellation and early stop across every registered solver -----------
