@@ -1,11 +1,10 @@
-// Service-layer load benchmark for the sharded catalog + fair-share batch
-// scheduler: a mixed-tenant job stream with Zipf-skewed graph popularity
-// (a few hot graphs take most submits, like a real serving catalog) is
-// pushed through three service configurations —
+// Service-layer load benchmark for the fair-share batch scheduler: a
+// mixed-tenant job stream with Zipf-skewed graph popularity (a few hot
+// graphs take most submits, like a real serving catalog) is pushed
+// through two service configurations, both with 2 workers —
 //
-//   serial    shards=1 max_batch=1   the pre-sharding single queue
-//   sharded   shards=4 max_batch=1   sharding alone
-//   fused     shards=4 max_batch=8   sharding + batch fusion
+//   serial    max_batch=1   every job runs solo
+//   fused     max_batch=8   batch fusion
 //
 // Three sections:
 //   1. Saturation throughput: submit the whole stream as fast as the
@@ -17,7 +16,7 @@
 //      levels; reports achieved QPS and p50/p95 job latency per config.
 //   3. Fusion microbench: one graph, one tenant, a burst of identical
 //      budget sweeps — max_batch=8 vs max_batch=1, the distilled case
-//      behind the ISSUE's >= 1.5x fusion acceptance bar.
+//      behind the >= 1.5x fusion acceptance bar.
 //
 // Knobs: ATR_BENCH_LOAD_JOBS (stream length, default 240),
 // ATR_BENCH_LOAD_GRAPHS (catalog size, default 6), ATR_BENCH_LOAD_QPS
@@ -49,14 +48,13 @@ namespace {
 
 struct LoadConfig {
   const char* label;
-  int shards;
   size_t max_batch;
 };
 
+// The first row is the baseline the speedup column divides by.
 constexpr LoadConfig kConfigs[] = {
-    {"serial", 1, 1},
-    {"sharded", 4, 1},
-    {"fused", 4, 8},
+    {"serial", 1},
+    {"fused", 8},
 };
 
 // One synthetic submit: which graph, which tenant, what work.
@@ -109,7 +107,6 @@ std::unique_ptr<AtrService> MakeService(const LoadConfig& config, int graphs) {
   AtrService::Options options;
   options.workers = 2;
   options.queue_capacity = 512;
-  options.shards = config.shards;
   options.max_batch = config.max_batch;
   auto service = std::make_unique<AtrService>(options);
   for (int g = 0; g < graphs; ++g) {
@@ -233,7 +230,6 @@ QpsStats RunTargetQps(const LoadConfig& config,
 double RunFusionBurst(size_t max_batch, int sweep_jobs, uint64_t* fused_out) {
   AtrService::Options options;
   options.workers = 1;
-  options.shards = 1;
   options.max_batch = max_batch;
   options.queue_capacity = 512;
   AtrService service(options);
@@ -259,7 +255,7 @@ double RunFusionBurst(size_t max_batch, int sweep_jobs, uint64_t* fused_out) {
 
 void Run() {
   PrintBenchHeader("bench_service_load",
-                   "sharded catalog + fair-share batch scheduling");
+                   "fair-share batch scheduling");
   const int jobs =
       static_cast<int>(GetEnvInt64("ATR_BENCH_LOAD_JOBS", 240));
   const int graphs =
@@ -273,25 +269,21 @@ void Run() {
   const std::vector<LoadJob> stream = MakeStream(jobs, graphs, kTenants);
   BenchJsonRow json("bench_service_load_saturation");
 
-  TablePrinter table({"config", "shards", "max_batch", "wall (ms)",
+  TablePrinter table({"config", "max_batch", "wall (ms)",
                       "jobs/sec", "speedup", "fused", "batches"});
   double serial_jps = 0.0;
   for (const LoadConfig& config : kConfigs) {
     const RunStats stats = RunSaturation(config, stream, graphs);
-    if (config.shards == 1 && config.max_batch == 1) {
-      serial_jps = stats.jobs_per_sec;
-    }
+    if (&config == &kConfigs[0]) serial_jps = stats.jobs_per_sec;
     const double speedup =
         serial_jps > 0.0 ? stats.jobs_per_sec / serial_jps : 1.0;
-    table.AddRow({config.label, std::to_string(config.shards),
-                  std::to_string(config.max_batch),
+    table.AddRow({config.label, std::to_string(config.max_batch),
                   TablePrinter::FormatDouble(stats.wall_ms, 1),
                   TablePrinter::FormatDouble(stats.jobs_per_sec, 1),
                   TablePrinter::FormatDouble(speedup, 2) + "x",
                   std::to_string(stats.jobs_fused),
                   std::to_string(stats.batches_executed)});
     json.Add("config", config.label)
-        .AddInt("shards", config.shards)
         .AddInt("max_batch", static_cast<int64_t>(config.max_batch))
         .AddInt("jobs", jobs)
         .AddDouble("wall_ms", stats.wall_ms)

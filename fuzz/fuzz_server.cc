@@ -1,9 +1,9 @@
 // Fuzz harness for the server's connection state machine: every input is
-// a small op program driving a LIVE AtrServer (sharded service, worker
-// pool, wake pipe, idle reaping) through a SimTransport — multi-
-// connection frame soup, torn reads, short writes, injected errno
-// faults, EMFILE accepts, resets, mid-frame disconnects, and virtual
-// time jumps, all interleaved however the mutation engine likes.
+// a small op program driving a LIVE AtrServer (service, worker pool,
+// wake pipe, idle reaping) through a SimTransport — multi-connection
+// frame soup, torn reads, short writes, injected errno faults, EMFILE
+// accepts, resets, mid-frame disconnects, and virtual time jumps, all
+// interleaved however the mutation engine likes.
 //
 // Pass criteria, checked every iteration:
 //   - no crash, no sanitizer report (the nightly CI leg runs this under
@@ -97,7 +97,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   AtrServer::Options options;
   options.workers = 1;
-  options.shards = 2;
   options.queue_capacity = 4;
   options.idle_timeout_ms = 32;          // advance ops can trigger reaps
   options.max_output_buffer_bytes = 512;  // and the high-water mark is near

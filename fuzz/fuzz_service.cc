@@ -45,7 +45,6 @@ AtrService& Service() {
   static AtrService* service = [] {
     AtrService::Options options;
     options.workers = 1;
-    options.shards = 2;  // exercise the sharded catalog path too
     auto* s = new AtrService(options);
     if (!s->AddGraph(kGraphName, SeedGraph()).ok()) std::abort();
     return s;

@@ -7,7 +7,6 @@
 
 #include "truss/incremental.h"
 #include "util/mutex.h"
-#include "util/parallel_for.h"
 #include "util/thread_annotations.h"
 
 namespace atr {
@@ -176,49 +175,24 @@ struct AtrService::CatalogEntry {
   }
 };
 
-AtrService::AtrService(const Options& options) {
-  // Resolve the worker/capacity totals once (on the constructing thread,
-  // whose ParallelFor budget is the one the pools must share), then split
-  // them evenly across the shards.
-  const int machine = ParallelWorkerCount();
-  const int num_shards = std::max(1, options.shards);
-  const int total_workers =
-      options.workers > 0 ? options.workers : std::min(4, machine);
-  const size_t total_capacity = options.queue_capacity > 0
-                                    ? options.queue_capacity
-                                    : static_cast<size_t>(4 * total_workers);
-  FairScheduler::Options sched;
-  sched.workers = std::max(1, total_workers / num_shards);
-  sched.capacity = std::max<size_t>(
-      1, total_capacity / static_cast<size_t>(num_shards));
-  // Each worker runs its jobs on an even share of the machine.
-  sched.threads_per_job = std::max(1, machine / total_workers);
-  sched.max_batch = std::max<size_t>(1, options.max_batch);
-  shards_.reserve(num_shards);
-  for (int s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    // The runner is stateless (payloads carry everything), so a shard
-    // never dangles a reference to the service during teardown.
-    shard->scheduler = std::make_unique<FairScheduler>(
-        sched,
-        [](std::vector<FairScheduler::Job> batch) {
-          RunBatch(std::move(batch));
-        });
-    shards_.push_back(std::move(shard));
-  }
-}
+// The scheduler resolves the worker and capacity defaults on this (the
+// constructing) thread, whose ParallelFor budget is the one its pool must
+// share. The runner is stateless (payloads carry everything), so it never
+// dangles a reference to the service during teardown.
+AtrService::AtrService(const Options& options)
+    : scheduler_({.workers = options.workers,
+                  .capacity = options.queue_capacity,
+                  .max_batch = options.max_batch},
+                 [](std::vector<FairScheduler::Job> batch) {
+                   RunBatch(std::move(batch));
+                 }) {}
 
 AtrService::~AtrService() = default;
 
-AtrService::Shard& AtrService::ShardFor(const std::string& name) const {
-  return *shards_[std::hash<std::string>{}(name) % shards_.size()];
-}
-
 Status AtrService::InsertEntry(const std::string& name, const char* what,
                                std::shared_ptr<CatalogEntry> entry) {
-  Shard& shard = ShardFor(name);
-  MutexLock lock(&shard.mu);
-  const bool inserted = shard.catalog.emplace(name, std::move(entry)).second;
+  MutexLock lock(&catalog_mu_);
+  const bool inserted = catalog_.emplace(name, std::move(entry)).second;
   if (!inserted) {
     return Status::FailedPrecondition(std::string(what) + ": graph \"" + name +
                                       "\" is already registered");
@@ -287,9 +261,8 @@ Status AtrService::ResetDeltaChain(const std::string& name) {
 }
 
 Status AtrService::RemoveGraph(const std::string& name) {
-  Shard& shard = ShardFor(name);
-  MutexLock lock(&shard.mu);
-  if (shard.catalog.erase(name) == 0) {
+  MutexLock lock(&catalog_mu_);
+  if (catalog_.erase(name) == 0) {
     return Status::NotFound("RemoveGraph: unknown graph \"" + name + "\"");
   }
   return Status::Ok();
@@ -297,21 +270,17 @@ Status AtrService::RemoveGraph(const std::string& name) {
 
 std::vector<std::string> AtrService::GraphNames() const {
   std::vector<std::string> names;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    for (const auto& [name, entry] : shard->catalog) names.push_back(name);
-  }
-  // Each shard map is sorted, but names hash across shards arbitrarily.
-  std::sort(names.begin(), names.end());
+  MutexLock lock(&catalog_mu_);
+  names.reserve(catalog_.size());
+  for (const auto& [name, entry] : catalog_) names.push_back(name);
   return names;
 }
 
 std::shared_ptr<AtrService::CatalogEntry> AtrService::FindEntry(
     const std::string& name) const {
-  Shard& shard = ShardFor(name);
-  MutexLock lock(&shard.mu);
-  auto it = shard.catalog.find(name);
-  return it == shard.catalog.end() ? nullptr : it->second;
+  MutexLock lock(&catalog_mu_);
+  auto it = catalog_.find(name);
+  return it == catalog_.end() ? nullptr : it->second;
 }
 
 GraphSnapshot AtrService::SnapshotOf(CatalogEntry& entry,
@@ -454,34 +423,11 @@ StatusOr<AtrService::GraphInfo> AtrService::Info(
 
 StatusOr<JobHandle> AtrService::Submit(const std::string& graph_name,
                                        const std::string& solver_name,
-                                       const SolverOptions& options) {
-  return SubmitInternal(graph_name, solver_name, options, SubmitOptions{},
-                        nullptr, /*blocking=*/true);
-}
-
-StatusOr<JobHandle> AtrService::Submit(const std::string& graph_name,
-                                       const std::string& solver_name,
-                                       const SolverOptions& options,
-                                       std::function<void()> done) {
-  return SubmitInternal(graph_name, solver_name, options, SubmitOptions{},
-                        std::move(done), /*blocking=*/true);
-}
-
-StatusOr<JobHandle> AtrService::Submit(const std::string& graph_name,
-                                       const std::string& solver_name,
                                        const SolverOptions& options,
                                        const SubmitOptions& submit,
                                        std::function<void()> done) {
   return SubmitInternal(graph_name, solver_name, options, submit,
                         std::move(done), /*blocking=*/true);
-}
-
-StatusOr<JobHandle> AtrService::TrySubmit(const std::string& graph_name,
-                                          const std::string& solver_name,
-                                          const SolverOptions& options,
-                                          std::function<void()> done) {
-  return SubmitInternal(graph_name, solver_name, options, SubmitOptions{},
-                        std::move(done), /*blocking=*/false);
 }
 
 StatusOr<JobHandle> AtrService::TrySubmit(const std::string& graph_name,
@@ -519,7 +465,6 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
                                                const SubmitOptions& submit,
                                                std::function<void()> done,
                                                bool blocking) {
-  Shard& shard = ShardFor(graph_name);
   std::shared_ptr<CatalogEntry> entry = FindEntry(graph_name);
   if (entry == nullptr) {
     return Status::NotFound("Submit: unknown graph \"" + graph_name + "\"");
@@ -553,58 +498,29 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
   }
   job.payload = state;
 
-  Status queued = blocking ? shard.scheduler->Submit(std::move(job))
-                           : shard.scheduler->TrySubmit(std::move(job));
+  Status queued = blocking ? scheduler_.Submit(std::move(job))
+                           : scheduler_.TrySubmit(std::move(job));
   if (!queued.ok()) return queued;  // saturated (TrySubmit) or shut down
   entry->jobs_submitted.fetch_add(1, std::memory_order_relaxed);
   return JobHandle(state);
 }
 
-void AtrService::SetTenantWeight(const std::string& tenant, uint32_t weight) {
-  for (const auto& shard : shards_) {
-    shard->scheduler->SetTenantWeight(tenant, weight);
-  }
-}
-
 size_t AtrService::TenantLoad(const std::string& tenant) const {
-  size_t load = 0;
-  for (const auto& shard : shards_) {
-    load += shard->scheduler->TenantLoad(tenant);
-  }
-  return load;
+  return scheduler_.TenantLoad(tenant);
 }
 
-size_t AtrService::QueueLoad() const {
-  size_t load = 0;
-  for (const auto& shard : shards_) load += shard->scheduler->Load();
-  return load;
-}
+size_t AtrService::QueueLoad() const { return scheduler_.Load(); }
 
-size_t AtrService::QueueCapacity() const {
-  size_t capacity = 0;
-  for (const auto& shard : shards_) capacity += shard->scheduler->capacity();
-  return capacity;
-}
+size_t AtrService::QueueCapacity() const { return scheduler_.capacity(); }
 
-int AtrService::Workers() const {
-  int workers = 0;
-  for (const auto& shard : shards_) workers += shard->scheduler->workers();
-  return workers;
-}
+int AtrService::Workers() const { return scheduler_.workers(); }
 
 AtrService::SchedulerStats AtrService::Stats() const {
-  SchedulerStats stats;
-  for (const auto& shard : shards_) {
-    stats.jobs_executed += shard->scheduler->jobs_executed();
-    stats.batches_executed += shard->scheduler->batches_executed();
-    stats.jobs_fused += shard->scheduler->jobs_fused();
-  }
-  return stats;
+  return {scheduler_.jobs_executed(), scheduler_.batches_executed(),
+          scheduler_.jobs_fused()};
 }
 
-void AtrService::Drain() {
-  for (const auto& shard : shards_) shard->scheduler->WaitIdle();
-}
+void AtrService::Drain() { scheduler_.WaitIdle(); }
 
 void AtrService::RunBatch(std::vector<FairScheduler::Job> batch) {
   if (batch.size() == 1) {

@@ -27,12 +27,9 @@
 // the solvers' inner ParallelFor loops, and returns a JobHandle with
 // Wait() / TryGet() / Cancel() and a polled Progress() snapshot.
 //
-// Sharding: with Options::shards = N, the catalog and the scheduler are
-// split into N independent shards keyed by hash(graph name) — unrelated
-// graphs never contend on one mutex or one queue. Fair-share dispatch is
-// per shard: every Submit may carry a SubmitOptions{tenant, priority},
-// and each shard's scheduler serves tenants with weighted deficit
-// round-robin so a flooding tenant cannot starve a light one.
+// Tenancy: every Submit may carry a SubmitOptions{tenant, priority}, and
+// the one scheduler serves tenants round-robin so a flooding tenant cannot
+// starve a light one.
 //
 // Batch fusion: compatible queued jobs — same graph version, same greedy
 // solver (base, base+ or gas), and no caller-owned progress/cancel/
@@ -146,6 +143,16 @@ class JobHandle {
   std::shared_ptr<internal::JobState> state_;
 };
 
+// Fair-share identity of one AtrService::Submit. Tenants are created on
+// first use; "" is the default tenant (still fair-shared against named
+// ones). Higher priority runs first within a tenant; tenants are isolated
+// from each other's priorities by the round-robin. Declared outside
+// AtrService so `= {}` can default it in Submit's signature.
+struct SubmitOptions {
+  std::string tenant;
+  int priority = 0;
+};
+
 class AtrService {
  public:
   struct Options {
@@ -154,24 +161,12 @@ class AtrService {
     // Bounded pending-job queue: Submit blocks while this many jobs wait
     // (backpressure). 0 = 4x workers.
     size_t queue_capacity = 0;
-    // Independent catalog + scheduler shards keyed by hash(graph name).
-    // `workers` and `queue_capacity` are totals, split evenly across the
-    // shards (at least 1 worker / 1 slot each). 1 (the default) is the
-    // pre-sharding single-queue behavior.
-    int shards = 1;
     // Most compatible jobs one batch may fuse into a single solver run.
     // 1 disables batch fusion entirely.
     size_t max_batch = 8;
   };
 
-  // Fair-share identity of one Submit. Tenants are created on first use;
-  // "" is the default tenant (still fair-shared against named ones).
-  // Higher priority runs first within a tenant; tenants are isolated from
-  // each other's priorities by the deficit round-robin.
-  struct SubmitOptions {
-    std::string tenant;
-    int priority = 0;
-  };
+  using SubmitOptions = atr::SubmitOptions;
 
   AtrService() : AtrService(Options()) {}
   explicit AtrService(const Options& options);
@@ -274,31 +269,23 @@ class AtrService {
 
   // --- Async jobs ---------------------------------------------------------
 
-  // Enqueues `solver_name` against graph `graph_name`. Unknown graph /
-  // solver names fail synchronously (kNotFound / kInvalidArgument); option
-  // validation errors surface in the JobHandle result. Blocks while the
-  // pending queue is full. `options.cancel` stays under the caller's
-  // control and is additionally observed at progress-event granularity;
+  // Enqueues `solver_name` against graph `graph_name` under the fair-share
+  // identity `submit` (tenant + priority). Unknown graph / solver names
+  // fail synchronously (kNotFound / kInvalidArgument); option validation
+  // errors surface in the JobHandle result. Blocks while the pending queue
+  // is full. `options.cancel` stays under the caller's control and is
+  // additionally observed at progress-event granularity;
   // `options.progress` is invoked from the worker thread.
-  StatusOr<JobHandle> Submit(const std::string& graph_name,
-                             const std::string& solver_name,
-                             const SolverOptions& options);
-
-  // Submit with a completion hook: `done` is invoked exactly once, from
-  // the worker thread, after the job's result became observable (Wait/
-  // TryGet return it). A job cancelled before running still invokes it.
-  // The networked front end uses this to push Wait responses instead of
-  // blocking a thread per pending job.
+  //
+  // `done`, when set, is invoked exactly once, from the worker thread,
+  // after the job's result became observable (Wait/TryGet return it). A
+  // job cancelled before running still invokes it. The networked front
+  // end uses this to push Wait responses instead of blocking a thread per
+  // pending job.
   StatusOr<JobHandle> Submit(const std::string& graph_name,
                              const std::string& solver_name,
                              const SolverOptions& options,
-                             std::function<void()> done);
-
-  // Submit under a fair-share identity (tenant + priority).
-  StatusOr<JobHandle> Submit(const std::string& graph_name,
-                             const std::string& solver_name,
-                             const SolverOptions& options,
-                             const SubmitOptions& submit,
+                             const SubmitOptions& submit = {},
                              std::function<void()> done = nullptr);
 
   // Non-blocking admission-controlled Submit: where Submit would block on
@@ -307,32 +294,23 @@ class AtrService {
   StatusOr<JobHandle> TrySubmit(const std::string& graph_name,
                                 const std::string& solver_name,
                                 const SolverOptions& options,
-                                std::function<void()> done = nullptr);
-  StatusOr<JobHandle> TrySubmit(const std::string& graph_name,
-                                const std::string& solver_name,
-                                const SolverOptions& options,
-                                const SubmitOptions& submit,
+                                const SubmitOptions& submit = {},
                                 std::function<void()> done = nullptr);
 
-  // Dispatch weight of `tenant` on every shard (default 1; 0 clamps to 1).
-  void SetTenantWeight(const std::string& tenant, uint32_t weight);
-
-  // Pending + running jobs for one tenant, summed over the shards — the
-  // signal behind the server's per-tenant retry-after estimate.
+  // Pending + running jobs for one tenant — the signal behind the
+  // server's per-tenant retry-after estimate.
   size_t TenantLoad(const std::string& tenant) const;
 
   // Pending + running jobs / pending-queue capacity / worker count —
-  // the load signals behind the server's retry-after estimate. All three
-  // are totals summed over the shards.
+  // the load signals behind the server's retry-after estimate.
   size_t QueueLoad() const;
   size_t QueueCapacity() const;
   int Workers() const;
-  int Shards() const { return static_cast<int>(shards_.size()); }
 
-  // Scheduler counters summed over the shards. jobs_executed counts
-  // individual jobs, batches_executed counts solver dispatches; the gap
-  // between them is the work batch fusion saved. jobs_fused counts jobs
-  // that rode in a batch of more than one.
+  // Scheduler counters. jobs_executed counts individual jobs,
+  // batches_executed counts solver dispatches; the gap between them is
+  // the work batch fusion saved. jobs_fused counts jobs that rode in a
+  // batch of more than one.
   struct SchedulerStats {
     uint64_t jobs_executed = 0;
     uint64_t batches_executed = 0;
@@ -347,17 +325,6 @@ class AtrService {
   struct GraphVersion;
   struct CatalogEntry;
 
-  // One catalog + scheduler shard. The scheduler is declared after the
-  // catalog so shard destruction drains and joins its workers before the
-  // catalog entries go away (running jobs additionally pin their entry
-  // through shared_ptrs).
-  struct Shard {
-    mutable Mutex mu;
-    std::map<std::string, std::shared_ptr<CatalogEntry>> catalog
-        ATR_GUARDED_BY(mu);
-    std::unique_ptr<FairScheduler> scheduler;
-  };
-
   // Shared Submit/TrySubmit implementation; `blocking` picks the queue
   // entry point (blocking backpressure vs kResourceExhausted reject).
   StatusOr<JobHandle> SubmitInternal(const std::string& graph_name,
@@ -367,9 +334,8 @@ class AtrService {
                                      std::function<void()> done,
                                      bool blocking);
 
-  Shard& ShardFor(const std::string& name) const;
-  // Registers `entry` under `name` in its shard (the AddGraph /
-  // RestoreGraph tail); fails when the name is taken.
+  // Registers `entry` under `name` (the AddGraph / RestoreGraph tail);
+  // fails when the name is taken.
   Status InsertEntry(const std::string& name, const char* what,
                      std::shared_ptr<CatalogEntry> entry);
 
@@ -392,7 +358,13 @@ class AtrService {
   std::shared_ptr<const UpdateListener> update_listener_
       ATR_GUARDED_BY(listener_mu_);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable Mutex catalog_mu_;
+  std::map<std::string, std::shared_ptr<CatalogEntry>> catalog_
+      ATR_GUARDED_BY(catalog_mu_);
+  // Declared last so destruction drains and joins its workers before the
+  // catalog and the listener go away (running jobs additionally pin their
+  // entry through shared_ptrs).
+  FairScheduler scheduler_;
 };
 
 }  // namespace atr

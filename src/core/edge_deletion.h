@@ -20,8 +20,11 @@ struct EdgeDeletionResult {
   uint64_t total_gain = 0;      // TG of anchoring the selected edges
 };
 
-// Brute-force greedy (one decomposition per candidate per round); intended
-// for the case-study-sized graphs only.
+// Top-b ranking by deletion impact: every edge is scored once by a
+// speculative IncrementalTruss::RemoveEdge followed by a rollback, then
+// the b highest-impact edges are anchored. One localized update per
+// candidate, never a full decomposition; intended for the
+// case-study-sized graphs only.
 EdgeDeletionResult RunEdgeDeletionBaseline(const Graph& g, uint32_t budget);
 
 }  // namespace atr

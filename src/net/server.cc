@@ -77,7 +77,6 @@ Status AtrServer::Start() {
   AtrService::Options service_options;
   service_options.workers = options_.workers;
   service_options.queue_capacity = options_.queue_capacity;
-  if (options_.shards > 0) service_options.shards = options_.shards;
   if (options_.max_batch > 0) service_options.max_batch = options_.max_batch;
   service_ = std::make_unique<AtrService>(service_options);
 

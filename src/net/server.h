@@ -88,9 +88,8 @@ class AtrServer {
     // Connections parked on a Wait (or still flushing output) are never
     // idle-reaped — a long solve is not an idle peer. 0 disables.
     uint32_t idle_timeout_ms = 0;
-    // Forwarded to AtrService::Options: catalog shard count and the batch
-    // fusion width (0/default = service defaults).
-    int shards = 0;
+    // Forwarded to AtrService::Options: the batch fusion width
+    // (0 = the service default).
     size_t max_batch = 0;
     // The I/O seam. nullptr = the process-wide PosixTransport (real
     // sockets). Non-owning: the transport must outlive the server.

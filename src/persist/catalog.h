@@ -32,8 +32,8 @@
 //
 // Thread-safety: PersistentCatalog serializes mutating calls (AddGraph /
 // UpdateGraph / Compact) PER GRAPH behind striped locks, so updates to
-// different graphs persist in parallel — matching the service's sharded
-// catalog. PersistAll takes each graph's stripe in turn. Mutate cataloged
+// different graphs persist in parallel — matching the service's per-graph
+// update lock. PersistAll takes each graph's stripe in turn. Mutate cataloged
 // graphs ONLY through it — calling AtrService::UpdateGraph directly on a
 // persisted graph would still log the delta (the listener fires) but
 // could interleave with a concurrent compaction's log reset and lose the

@@ -25,14 +25,11 @@ FairScheduler::FairScheduler(const Options& options, BatchRunner runner)
       options.workers > 0 ? options.workers : std::min(4, machine);
   capacity_ = options.capacity > 0 ? options.capacity
                                    : static_cast<size_t>(4 * workers);
-  threads_per_job_ = options.threads_per_job > 0
-                         ? options.threads_per_job
-                         : std::max(1, machine / workers);
   max_batch_ = std::max<size_t>(1, options.max_batch);
-  quantum_ = std::max<uint32_t>(1, options.quantum);
+  const int inner_threads = std::max(1, machine / workers);
   threads_.reserve(workers);
   for (int w = 0; w < workers; ++w) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    threads_.emplace_back([this, inner_threads] { WorkerLoop(inner_threads); });
   }
 }
 
@@ -80,12 +77,6 @@ Status FairScheduler::TrySubmit(Job job) {
   ++total_pending_;
   not_empty_.NotifyOne();
   return Status::Ok();
-}
-
-void FairScheduler::SetTenantWeight(const std::string& tenant,
-                                    uint32_t weight) {
-  MutexLock lock(&mu_);
-  tenants_[tenant].weight = std::max<uint32_t>(1, weight);
 }
 
 void FairScheduler::WaitIdle() {
@@ -144,9 +135,7 @@ void FairScheduler::DropFromRingLocked(const std::string& tenant) {
   ring_.erase(it);
   if (index < cursor_) --cursor_;
   if (cursor_ >= ring_.size()) cursor_ = 0;
-  TenantQueue& t = tenants_[tenant];
-  t.in_ring = false;
-  t.deficit = 0;
+  tenants_[tenant].in_ring = false;
 }
 
 std::vector<FairScheduler::Job> FairScheduler::NextBatchLocked() {
@@ -154,9 +143,6 @@ std::vector<FairScheduler::Job> FairScheduler::NextBatchLocked() {
   if (cursor_ >= ring_.size()) cursor_ = 0;
   const std::string tenant = ring_[cursor_];
   TenantQueue& t = tenants_[tenant];
-  if (t.deficit == 0) {
-    t.deficit = uint64_t(quantum_) * std::max<uint32_t>(1, t.weight);
-  }
   auto bucket = t.buckets.begin();
   ATR_CHECK_MSG(
       bucket != t.buckets.end() && !bucket->second.empty(),
@@ -166,12 +152,11 @@ std::vector<FairScheduler::Job> FairScheduler::NextBatchLocked() {
   if (bucket->second.empty()) t.buckets.erase(bucket);
   --t.queued;
   --total_pending_;
-  --t.deficit;
   if (t.queued == 0) {
     DropFromRingLocked(tenant);
-  } else if (t.deficit == 0) {
-    // Deficit spent: the next dispatch serves the next tenant in the ring.
-    if (++cursor_ >= ring_.size()) cursor_ = 0;
+  } else if (++cursor_ >= ring_.size()) {
+    // One job per visit: the next dispatch serves the next tenant.
+    cursor_ = 0;
   }
   std::vector<Job> batch;
   batch.push_back(std::move(job));
@@ -183,10 +168,10 @@ std::vector<FairScheduler::Job> FairScheduler::NextBatchLocked() {
 
 void FairScheduler::CollectBatchLocked(std::string key,
                                        std::vector<Job>* batch) {
-  // Fused riders are not charged against their tenant's deficit: the
-  // marginal cost of riding an already-dispatched decomposition walk is
-  // near zero, so fusing them early is strictly better for everyone than
-  // making them wait their DRR turn to redo the same work.
+  // Fused riders do not use up their tenant's ring turn: the marginal
+  // cost of riding an already-dispatched decomposition walk is near zero,
+  // so fusing them early is strictly better for everyone than making them
+  // wait their round-robin turn to redo the same work.
   for (auto& [name, t] : tenants_) {
     if (batch->size() >= max_batch_) break;
     if (t.queued == 0) continue;
@@ -214,11 +199,11 @@ void FairScheduler::CollectBatchLocked(std::string key,
   }
 }
 
-void FairScheduler::WorkerLoop() {
+void FairScheduler::WorkerLoop(int inner_threads) {
   t_sched_worker = true;
   // One thread budget for the pool: inner ParallelFor calls issued by jobs
-  // on this worker see threads_per_job_ instead of the machine default.
-  ScopedParallelism inner(threads_per_job_);
+  // on this worker see `inner_threads` instead of the machine default.
+  ScopedParallelism inner(inner_threads);
   for (;;) {
     std::vector<Job> batch;
     std::vector<std::string> batch_tenants;

@@ -1,13 +1,13 @@
 // FairScheduler — multi-tenant batch scheduler for job-level concurrency
-// (the sharded AtrService's submit path).
+// (AtrService's submit path).
 //
 // FairScheduler runs submitted jobs on a fixed set of worker threads. It
-// keeps one FIFO *per tenant per priority* and dispatches across tenants with weighted deficit
-// round-robin (WDRR): each tenant in the ready ring gets a deficit of
-// quantum x weight jobs per visit, so a tenant flooding the queue cannot
-// starve a light one — the light tenant's next job dispatches after at
-// most one DRR cycle, not after the flood drains. Within a tenant, higher
-// priority buckets drain first and each bucket is FIFO.
+// keeps one FIFO *per tenant per priority* and dispatches across tenants
+// round-robin: each tenant in the ready ring dispatches one job per visit,
+// so a tenant flooding the queue cannot starve a light one — the light
+// tenant's next job dispatches after at most one ring cycle, not after the
+// flood drains. Within a tenant, higher priority buckets drain first and
+// each bucket is FIFO.
 //
 // Batch fusion: a job may carry a `batch_key` naming the work it could
 // share with compatible jobs (same graph version + solver family). When a
@@ -21,8 +21,10 @@
 // Capacity and backpressure: Submit blocks while the
 // total pending count is at capacity, TrySubmit fails fast with
 // kResourceExhausted, and both reject with kFailedPrecondition after
-// Shutdown. Worker threads install a ScopedParallelism override so inner
-// ParallelFor fan-out shares one machine budget with job concurrency.
+// Shutdown. Each worker thread installs a ScopedParallelism override of
+// the constructing thread's ParallelWorkerCount() split evenly across the
+// pool, so inner ParallelFor fan-out shares one machine budget with job
+// concurrency.
 //
 //   FairScheduler sched({.workers = 4}, [](std::vector<FairScheduler::Job> b) {
 //     ... run the batch; b.size() == 1 unless batch keys matched ...
@@ -68,13 +70,8 @@ class FairScheduler {
     // Max jobs waiting to run across all tenants (excludes running jobs);
     // Submit blocks / TrySubmit fails at this count. 0 = 4x workers.
     size_t capacity = 0;
-    // ParallelFor budget per worker thread. 0 = the calling thread's
-    // ParallelWorkerCount() split evenly across the pool (at least 1).
-    int threads_per_job = 0;
     // Most jobs one batch may fuse. 1 disables fusion entirely.
     size_t max_batch = 8;
-    // Jobs a weight-1 tenant may dispatch per DRR visit.
-    uint32_t quantum = 1;
   };
 
   FairScheduler(const Options& options, BatchRunner runner);
@@ -90,11 +87,6 @@ class FairScheduler {
 
   // Non-blocking Submit: kResourceExhausted at capacity.
   Status TrySubmit(Job job) ATR_EXCLUDES(mu_);
-
-  // Dispatch share for `tenant` (default weight 1). Takes effect at the
-  // tenant's next DRR visit. Weight 0 is clamped to 1.
-  void SetTenantWeight(const std::string& tenant, uint32_t weight)
-      ATR_EXCLUDES(mu_);
 
   // Blocks until no job is pending or running.
   void WaitIdle() ATR_EXCLUDES(mu_);
@@ -124,15 +116,15 @@ class FairScheduler {
  private:
   // Per-tenant state: priority buckets (higher first), each FIFO.
   struct TenantQueue {
-    uint32_t weight = 1;
-    uint64_t deficit = 0;
     std::map<int, std::deque<Job>, std::greater<int>> buckets;
     size_t queued = 0;
     size_t running = 0;
     bool in_ring = false;
   };
 
-  void WorkerLoop() ATR_EXCLUDES(mu_);
+  // Runs batches until Shutdown drains the queue; jobs see a ParallelFor
+  // budget of `inner_threads`.
+  void WorkerLoop(int inner_threads) ATR_EXCLUDES(mu_);
   // Picks the next batch under mu_. Requires total_pending_ > 0.
   std::vector<Job> NextBatchLocked() ATR_REQUIRES(mu_);
   // Removes up to max_batch_-1 additional jobs matching `key` from every
@@ -143,9 +135,7 @@ class FairScheduler {
   void DropFromRingLocked(const std::string& tenant) ATR_REQUIRES(mu_);
 
   size_t capacity_ = 0;
-  int threads_per_job_ = 1;
   size_t max_batch_ = 8;
-  uint32_t quantum_ = 1;
   BatchRunner runner_;
 
   mutable Mutex mu_;
@@ -153,7 +143,7 @@ class FairScheduler {
   CondVar not_full_;
   CondVar idle_;
   std::map<std::string, TenantQueue> tenants_ ATR_GUARDED_BY(mu_);
-  // Tenants with queued jobs, DRR order.
+  // Tenants with queued jobs, round-robin order.
   std::vector<std::string> ring_ ATR_GUARDED_BY(mu_);
   // ring_ index of the next tenant to serve.
   size_t cursor_ ATR_GUARDED_BY(mu_) = 0;

@@ -1,9 +1,9 @@
 // Tests for the FairScheduler (util/scheduler.h) and its integration into
-// the sharded AtrService: FIFO-within-tenant dispatch, priority buckets,
-// weighted deficit round-robin fairness (including a flood/starvation
-// scenario), capacity backpressure, shutdown semantics, batch-fusion
-// grouping, and — at the service layer — the differential guarantee that
-// fused and sharded execution stays byte-identical to a serial AtrEngine
+// AtrService: FIFO-within-tenant dispatch, priority buckets, round-robin
+// fairness across tenants (including a flood/starvation scenario),
+// capacity backpressure, shutdown semantics, batch-fusion grouping, and —
+// at the service layer — the differential guarantee that fused,
+// multi-tenant execution stays byte-identical to a serial AtrEngine
 // oracle for every registered solver.
 
 #include <gtest/gtest.h>
@@ -147,22 +147,6 @@ TEST(FairSchedulerDispatch, HigherPriorityDrainsFirstFifoWithinBucket) {
   h.scheduler().WaitIdle();
   // Bucket 5 FIFO, then bucket 0 FIFO, then bucket -1.
   EXPECT_EQ(h.Order(), (std::vector<int>{2, 3, 1, 5, 4}));
-}
-
-TEST(FairSchedulerDispatch, WeightedDeficitRoundRobin) {
-  SchedulerHarness h({.capacity = 64, .quantum = 1});
-  h.scheduler().SetTenantWeight("heavy", 2);
-  h.Block();
-  // heavy enters the ring first, then light.
-  ASSERT_TRUE(h.Submit("heavy", 0, 10).ok());
-  ASSERT_TRUE(h.Submit("light", 0, 20).ok());
-  for (int id = 11; id <= 15; ++id) ASSERT_TRUE(h.Submit("heavy", 0, id).ok());
-  for (int id = 21; id <= 22; ++id) ASSERT_TRUE(h.Submit("light", 0, id).ok());
-  h.Release();
-  h.scheduler().WaitIdle();
-  // Weight 2 vs 1 with quantum 1: two heavy jobs per visit, one light.
-  EXPECT_EQ(h.Order(),
-            (std::vector<int>{10, 11, 20, 12, 13, 21, 14, 15, 22}));
 }
 
 TEST(FairSchedulerDispatch, FloodingTenantCannotStarveLightTenant) {
@@ -347,7 +331,6 @@ std::vector<SolveResult> RunBehindBlocker(AtrService& service,
 TEST(ServiceBatchFusion, FusedGreedySweepMatchesSerialOracle) {
   AtrService::Options options;
   options.workers = 1;
-  options.shards = 1;
   options.max_batch = 8;
   options.queue_capacity = 64;
   AtrService service(options);
@@ -386,7 +369,6 @@ TEST(ServiceBatchFusion, FusedGreedySweepMatchesSerialOracle) {
 TEST(ServiceBatchFusion, NonFusableSolversNeverFuse) {
   AtrService::Options options;
   options.workers = 1;
-  options.shards = 1;
   options.max_batch = 8;
   options.queue_capacity = 64;
   AtrService service(options);
@@ -416,7 +398,7 @@ TEST(ServiceBatchFusion, NonFusableSolversNeverFuse) {
   EXPECT_EQ(service.Stats().jobs_fused, 0u);
 }
 
-// --- Sharded differential: every solver, every shard, mixed tenants -------
+// --- Differential: every solver, several graphs, mixed tenants -----------
 
 struct JobSpec {
   const char* solver;
@@ -480,17 +462,15 @@ std::vector<JobSpec> AllSolverSpecs() {
   return specs;
 }
 
-TEST(ShardedServiceDifferential, AllSolversMatchSerialOracleAcrossShards) {
+TEST(MultiTenantServiceDifferential, AllSolversMatchSerialOracle) {
   constexpr int kGraphs = 4;
   constexpr int kSubmitters = 3;
 
   AtrService::Options options;
   options.workers = 4;
-  options.shards = 4;
   options.max_batch = 8;
   options.queue_capacity = 128;
   AtrService service(options);
-  ASSERT_EQ(service.Shards(), 4);
 
   std::vector<std::string> names;
   for (int g = 0; g < kGraphs; ++g) {
@@ -511,8 +491,8 @@ TEST(ShardedServiceDifferential, AllSolversMatchSerialOracleAcrossShards) {
   }
 
   // kSubmitters threads submit every (graph, spec) pair under distinct
-  // tenants and rotating priorities — fusion, sharding and fair-share
-  // dispatch all engage at once.
+  // tenants and rotating priorities — fusion and fair-share dispatch
+  // engage at once.
   std::vector<std::vector<std::vector<JobHandle>>> handles(
       kSubmitters,
       std::vector<std::vector<JobHandle>>(kGraphs));
@@ -552,21 +532,17 @@ TEST(ShardedServiceDifferential, AllSolversMatchSerialOracleAcrossShards) {
     }
   }
 
-  // Sharding and fusion never re-run the one decomposition per graph.
+  // Fusion never re-runs the one decomposition per graph.
   for (const std::string& name : names) {
     StatusOr<AtrService::GraphInfo> info = service.Info(name);
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info->decomposition_builds, 1u) << name;
   }
-  // The executed counter is bumped by the worker just after a job's
-  // result becomes observable, so give the last bump a moment to land.
-  const uint64_t expected_jobs =
-      static_cast<uint64_t>(kSubmitters * kGraphs * specs.size());
-  for (int spin = 0; spin < 200 && service.Stats().jobs_executed < expected_jobs;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(service.Stats().jobs_executed, expected_jobs);
+  // A worker bumps the executed counter after its batch's results are
+  // published; Drain waits for that.
+  service.Drain();
+  EXPECT_EQ(service.Stats().jobs_executed,
+            static_cast<uint64_t>(kSubmitters * kGraphs * specs.size()));
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "graph/generators/generators.h"
 #include "tests/test_helpers.h"
 #include "truss/gain.h"
+#include "util/parallel_for.h"
 
 namespace atr {
 namespace {
@@ -364,7 +365,6 @@ TEST(ServiceJobs, CancelledWhileQueuedNeverRuns) {
 TEST(ServiceJobs, InvalidJobsNeverBuildTheDecomposition) {
   AtrService::Options options;
   options.workers = 1;  // serialize: the latch job occupies the one worker
-  options.shards = 1;
   AtrService service(options);
   const Graph g = MakeServiceGraph();
   ASSERT_TRUE(service.AddGraph("g", g).ok());
@@ -941,6 +941,23 @@ TEST(ServiceJobs, DrainWaitsForAllJobs) {
   }
   service.Drain();
   for (JobHandle& job : jobs) EXPECT_TRUE(job.Done());
+}
+
+// Options::workers and Options::queue_capacity are the service's whole
+// pool and queue; left at 0 they resolve on the constructing thread to
+// min(4, its worker budget) workers and 4 pending slots per worker.
+TEST(ServiceJobs, WorkersAndCapacityResolveToTotals) {
+  AtrService::Options options;
+  options.workers = 2;
+  options.queue_capacity = 5;
+  AtrService sized(options);
+  EXPECT_EQ(sized.Workers(), 2);
+  EXPECT_EQ(sized.QueueCapacity(), 5u);
+
+  ScopedParallelism three(3);
+  AtrService defaulted;
+  EXPECT_EQ(defaulted.Workers(), 3);
+  EXPECT_EQ(defaulted.QueueCapacity(), 12u);
 }
 
 TEST(ServiceStreaming, DeltaChainLengthGrowsUntilReset) {
